@@ -3,6 +3,7 @@
 // two-step optimizer; it must stay far below optimization cost).
 #include "bench_util.hpp"
 
+#include "common/strings.hpp"
 #include "workload/generator.hpp"
 
 namespace cisqp::bench {
@@ -21,21 +22,21 @@ ChainWorkload MakeChain(std::size_t joins, std::size_t servers) {
   ChainWorkload out{workload::Federation{}, {}, plan::QueryPlan{}};
   catalog::Catalog& cat = out.fed.catalog;
   for (std::size_t s = 0; s < servers; ++s) {
-    UnwrapStatus(cat.AddServer("S" + std::to_string(s)).status(), "server");
+    UnwrapStatus(cat.AddServer(Numbered("S", s)).status(), "server");
   }
   const std::size_t relations = joins + 1;
   for (std::size_t r = 0; r < relations; ++r) {
     UnwrapStatus(
-        cat.AddRelation("R" + std::to_string(r),
+        cat.AddRelation(Numbered("R", r),
                         static_cast<catalog::ServerId>(r % servers),
-                        {{"K" + std::to_string(r), catalog::ValueType::kInt64},
-                         {"V" + std::to_string(r), catalog::ValueType::kInt64}},
-                        {"K" + std::to_string(r)})
+                        {{Numbered("K", r), catalog::ValueType::kInt64},
+                         {Numbered("V", r), catalog::ValueType::kInt64}},
+                        {Numbered("K", r)})
             .status(),
         "relation");
   }
   for (std::size_t r = 0; r + 1 < relations; ++r) {
-    UnwrapStatus(cat.AddJoinEdge("V" + std::to_string(r), "K" + std::to_string(r + 1)),
+    UnwrapStatus(cat.AddJoinEdge(Numbered("V", r), Numbered("K", r + 1)),
                  "edge");
   }
 
@@ -47,8 +48,8 @@ ChainWorkload MakeChain(std::size_t joins, std::size_t servers) {
       attrs.UnionWith(cat.relation(static_cast<catalog::RelationId>(r)).attribute_set);
       if (r > 0) {
         atoms.push_back(authz::JoinAtom::Make(
-            cat.FindAttribute("V" + std::to_string(r - 1)).value(),
-            cat.FindAttribute("K" + std::to_string(r)).value()));
+            cat.FindAttribute(Numbered("V", r - 1)).value(),
+            cat.FindAttribute(Numbered("K", r)).value()));
       }
       // Grant every contiguous prefix (the profiles the chain plan produces),
       // and every suffix-of-prefix attribute subset is implied by ⊆.
@@ -81,12 +82,12 @@ ChainWorkload MakeChain(std::size_t joins, std::size_t servers) {
     plan::JoinStep step;
     step.relation = static_cast<catalog::RelationId>(r);
     step.atoms.push_back(algebra::EquiJoinAtom{
-        cat.FindAttribute("V" + std::to_string(r - 1)).value(),
-        cat.FindAttribute("K" + std::to_string(r)).value()});
+        cat.FindAttribute(Numbered("V", r - 1)).value(),
+        cat.FindAttribute(Numbered("K", r)).value()});
     spec.joins.push_back(std::move(step));
   }
   spec.select_list = {cat.FindAttribute("K0").value(),
-                      cat.FindAttribute("V" + std::to_string(relations - 1)).value()};
+                      cat.FindAttribute(Numbered("V", relations - 1)).value()};
   out.plan = Unwrap(plan::PlanBuilder(cat).Build(spec), "chain plan");
   return out;
 }

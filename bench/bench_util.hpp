@@ -95,7 +95,10 @@ class Artifact {
   }
 
   Artifact& Value(std::string_view key, std::string_view v) {
-    return Cell(key, "\"" + obs::JsonEscape(v) + "\"");
+    std::string quoted(1, '"');
+    quoted += obs::JsonEscape(v);
+    quoted += '"';
+    return Cell(key, std::move(quoted));
   }
   Artifact& Value(std::string_view key, const char* v) {
     return Value(key, std::string_view(v));
@@ -132,8 +135,10 @@ class Artifact {
       out += '{';
       for (std::size_t c = 0; c < rows_[r].size(); ++c) {
         if (c != 0) out += ',';
-        out += "\"" + obs::JsonEscape(rows_[r][c].first) +
-               "\":" + rows_[r][c].second;
+        out += '"';
+        out += obs::JsonEscape(rows_[r][c].first);
+        out += "\":";
+        out += rows_[r][c].second;
       }
       out += '}';
     }

@@ -121,7 +121,7 @@ class Shell {
               row.emplace_back(rng.UniformReal() * 100.0);
               break;
             case catalog::ValueType::kString:
-              row.emplace_back("v" + std::to_string(rng.UniformInt(0, 40)));
+              row.emplace_back(Numbered("v", rng.UniformInt(0, 40)));
               break;
           }
         }

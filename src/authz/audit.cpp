@@ -1,5 +1,7 @@
 #include "authz/audit.hpp"
 
+#include <utility>
+
 namespace cisqp::authz {
 
 bool AuditedCanView(const catalog::Catalog& cat, const Policy& policy,
@@ -19,10 +21,13 @@ bool AuditedCanView(const catalog::Catalog& cat, const Policy& policy,
   entry.detail = std::string(detail);
   if (explanation.allowed) {
     if (explanation.matched_attributes) {
-      entry.matched = "[" +
-                      AttributeSetToString(cat, *explanation.matched_attributes) +
-                      ", " + profile.join.ToString(cat) + "] -> " +
-                      cat.server(server).name;
+      std::string matched("[");
+      matched += AttributeSetToString(cat, *explanation.matched_attributes);
+      matched += ", ";
+      matched += profile.join.ToString(cat);
+      matched += "] -> ";
+      matched += cat.server(server).name;
+      entry.matched = std::move(matched);
     }
   } else {
     entry.reason = explanation.DescribeDenial(cat);

@@ -1,5 +1,6 @@
 #include "authz/canview_cache.hpp"
 
+#include "common/strings.hpp"
 #include "obs/metrics.hpp"
 
 namespace cisqp::authz {
@@ -8,7 +9,8 @@ std::string ProfileCacheKey(const Profile& profile, catalog::ServerId server) {
   // Ids rendered with unambiguous separators: IdSet and JoinPath are both
   // canonically sorted, so equal profiles encode identically and distinct
   // profiles cannot collide (every component is delimited).
-  std::string key = "v" + std::to_string(server) + "|p";
+  std::string key = Numbered("v", server);
+  key += "|p";
   for (const IdSet::value_type id : profile.pi) {
     key += std::to_string(id);
     key += ",";
@@ -80,11 +82,6 @@ void CachingPolicy::BumpEpoch() {
   memo_.clear();
   epoch_.fetch_add(1, std::memory_order_relaxed);
   CISQP_METRIC_INC("authz.canview_cache.epoch_bumps");
-}
-
-void CachingPolicy::Clear() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  memo_.clear();
 }
 
 std::size_t CachingPolicy::size() const {

@@ -71,9 +71,6 @@ class CachingPolicy : public Policy {
   /// stamp. Call after any change to the decorated policy.
   void BumpEpoch();
 
-  /// Drops all entries without advancing the epoch (bench cold paths).
-  void Clear();
-
   /// Copies from `prior` every entry whose recorded relation set is
   /// non-empty and disjoint from `changed_relations` — the verdicts an
   /// incremental policy edit provably left intact. Call on a freshly

@@ -20,9 +20,14 @@
 // whole pool — every unordered rule pair is examined exactly once, in the
 // first round after its younger member appeared — and a per-endpoint index
 // over the schema's join edges restricts each pair to the edges it can
-// actually fire. Per-server closures are independent, so they fan out
-// across a ThreadPool; results merge in server order, which keeps the
-// closure, the stats, and the cap error deterministic at any thread count.
+// actually fire (chase_core.hpp). Per-server closures are independent, so
+// they fan out across a ThreadPool; results merge in server order, which
+// keeps the closure, the stats, and the cap error deterministic at any
+// thread count.
+//
+// There is one chase: IncrementalClosure::Build (incremental.hpp) runs the
+// fan-out and keeps the result for later grant/revoke edits. ChaseClosure
+// is its one-shot form for callers that only want the closed rule set.
 #pragma once
 
 #include "authz/authorization.hpp"
@@ -49,7 +54,9 @@ struct ChaseStats {
 };
 
 /// Returns `auths` closed under the derivation above. The input set is not
-/// modified; the result contains every input rule plus all derived ones.
+/// modified; the result contains every input rule plus all derived ones,
+/// un-minimized, in server and derivation order. kResourceExhausted when
+/// the derived-rules cap trips.
 Result<AuthorizationSet> ChaseClosure(const catalog::Catalog& cat,
                                       const AuthorizationSet& auths,
                                       const ChaseOptions& options = {},

@@ -1,13 +1,14 @@
-// Internal machinery shared by the batch chase (chase.cpp) and the
-// incremental closure maintainer (incremental.cpp): the edge-visibility
-// bitsets, the per-endpoint join-edge index, the subsumption-aware rule
-// pool, and the semi-naïve fixpoint loop itself.
+// Internal machinery of the chase (IncrementalClosure, incremental.cpp,
+// which ChaseClosure wraps): the edge-visibility bitsets, the per-endpoint
+// join-edge index, the subsumption-aware rule pool, and the semi-naïve
+// fixpoint loop itself.
 //
-// The loop is parameterized by `delta_begin`: the batch chase starts it at 0
-// (every initial rule is delta), while an incremental grant appends the new
-// rule to a persistent pool and starts the loop at the old pool size — the
-// textbook semi-naïve delta round, so a grant only pays for the pairs its
-// own derivations introduce. Nothing here is part of the public authz API.
+// The loop is parameterized by `delta_begin`: a from-scratch server chase
+// starts it at 0 (every initial rule is delta), while an incremental grant
+// appends the new rule to a persistent pool and starts the loop at the old
+// pool size — the textbook semi-naïve delta round, so a grant only pays for
+// the pairs its own derivations introduce. Nothing here is part of the
+// public authz API.
 #pragma once
 
 #include <bit>

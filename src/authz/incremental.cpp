@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -10,6 +11,16 @@ namespace cisqp::authz {
 
 using chase_internal::EdgeIndex;
 using chase_internal::RulePool;
+
+namespace {
+
+void AddStats(ChaseStats& total, const ChaseStats& run) {
+  total.iterations += run.iterations;
+  total.pairs_considered += run.pairs_considered;
+  total.derived_rules += run.derived_rules;
+}
+
+}  // namespace
 
 IdSet RuleRelations(const catalog::Catalog& cat, const Authorization& auth) {
   IdSet relations = auth.path.Relations(cat);
@@ -20,70 +31,84 @@ IdSet RuleRelations(const catalog::Catalog& cat, const Authorization& auth) {
 }
 
 IncrementalClosure::IncrementalClosure(const catalog::Catalog& cat,
+                                       AuthorizationSet base,
                                        ChaseOptions options)
     : cat_(&cat),
       options_(options),
-      index_(std::make_unique<EdgeIndex>(cat)) {}
+      index_(std::make_unique<EdgeIndex>(cat)),
+      base_(std::move(base)) {}
 
 Result<IncrementalClosure> IncrementalClosure::Build(
     const catalog::Catalog& cat, const AuthorizationSet& base,
     const ChaseOptions& options) {
-  CISQP_TRACE_SPAN(span, "authz.incremental.build");
-  IncrementalClosure inc(cat, options);
-  inc.base_ = base;
-  const std::size_t servers = cat.server_count();
-  inc.canon_.resize(servers);
-  inc.derived_.resize(servers, 0);
-  for (catalog::ServerId server = 0; server < servers; ++server) {
-    CISQP_ASSIGN_OR_RETURN(RulePool pool, inc.RechaseServer(server));
-    // Batch semantics: each server chases under a fresh per-server counter,
-    // and the whole-closure budget is enforced over the running total in
-    // server order — the same two cap sites ChaseClosure has.
-    CISQP_RETURN_IF_ERROR(inc.CheckClosureCap());
-    inc.canon_[server] = Canonicalize(pool);
-    inc.pools_.push_back(std::move(pool));
-  }
-  AuthorizationSet closed;
-  for (catalog::ServerId server = 0; server < servers; ++server) {
-    for (const auto& [path, grants] : inc.canon_[server]) {
-      for (const IdSet& attrs : grants) {
-        CISQP_RETURN_IF_ERROR(
-            closed.Add(cat, Authorization{attrs, path, server}));
-      }
-    }
-  }
-  inc.closed_ = std::move(closed);
-  span.AddAttribute("closed_rules", inc.closed_.size());
-  return inc;
+  IncrementalClosure closure(cat, base, options);
+  CISQP_RETURN_IF_ERROR(closure.ChaseAll());
+  return closure;
 }
 
-Result<RulePool> IncrementalClosure::RechaseServer(catalog::ServerId server) {
-  RulePool pool(*index_);
+Status IncrementalClosure::ChaseAll() {
+  CISQP_TRACE_SPAN(span, "authz.chase");
+  span.AddAttribute("input_rules", base_.size());
+  const std::size_t servers = cat_->server_count();
+  const std::size_t threads = options_.threads == 0
+                                  ? ThreadPool::HardwareConcurrency()
+                                  : options_.threads;
+  span.AddAttribute("threads", threads);
+
+  // Per-server closures are independent; fan them out, each server writing
+  // only its own slots.
+  pools_.assign(servers, RulePool(*index_));
+  canon_.assign(servers, {});
+  derived_.assign(servers, 0);
+  std::vector<Status> runs(servers);
+  std::vector<ChaseStats> run_stats(servers);
+  {
+    ThreadPool pool(std::min(threads, std::max<std::size_t>(servers, 1)));
+    pool.ParallelFor(servers, [&](std::size_t s) {
+      const auto server = static_cast<catalog::ServerId>(s);
+      runs[s] = ChaseServer(server, pools_[s], run_stats[s]);
+      if (runs[s].ok()) canon_[s] = Canonicalize(pools_[s]);
+    });
+  }
+
+  // Reduce in server order. Each server ran under its own counter, but the
+  // cap is a whole-closure budget: check it over the ordered running total,
+  // so the closure, the stats and the cap verdict match at any thread count.
+  ChaseStats total;
+  capped_ = false;
+  for (std::size_t s = 0; s < servers && !capped_; ++s) {
+    AddStats(total, run_stats[s]);
+    derived_[s] = run_stats[s].derived_rules;
+    capped_ = !runs[s].ok() || total.derived_rules > options_.max_derived_rules;
+  }
+  AddStats(stats_, total);
+  if (capped_) {
+    // closed() serves the base until an edit's rechase fits again.
+    pools_.clear();
+    canon_.clear();
+    closed_ = AuthorizationSet{};
+    return Status::Ok();
+  }
+  CISQP_METRIC_ADD("chase.derived_rules", total.derived_rules);
+  CISQP_METRIC_ADD("chase.pairs_considered", total.pairs_considered);
+  span.AddAttribute("derived_rules", total.derived_rules);
+  span.AddAttribute("iterations", total.iterations);
+  return RebuildClosed();
+}
+
+Status IncrementalClosure::ChaseServer(catalog::ServerId server, RulePool& pool,
+                                       ChaseStats& stats) const {
   for (const Authorization& auth : base_.ForServer(server)) {
     pool.AddIfNovel(auth.attributes, auth.path);
   }
-  // Fresh counter: the cap bounds this from-scratch chase of one server
-  // (batch semantics), never chase work accumulated over the object's
-  // lifetime — a long edit history must not trip it spuriously. stats_
-  // still accumulates the work for reporting.
-  ChaseStats local;
-  const Status run = chase_internal::RunSemiNaive(*cat_, *index_, pool, 0,
-                                                  server, options_, local);
-  stats_.iterations += local.iterations;
-  stats_.pairs_considered += local.pairs_considered;
-  stats_.derived_rules += local.derived_rules;
-  CISQP_RETURN_IF_ERROR(run);
-  derived_[server] = local.derived_rules;
-  return pool;
+  return chase_internal::RunSemiNaive(*cat_, *index_, pool, 0, server,
+                                      options_, stats);
 }
 
-Status IncrementalClosure::CheckClosureCap() const {
+bool IncrementalClosure::OverClosureCap() const {
   std::size_t total = 0;
   for (const std::size_t d : derived_) total += d;
-  if (total > options_.max_derived_rules) {
-    return chase_internal::ExceededCap(options_);
-  }
-  return Status::Ok();
+  return total > options_.max_derived_rules;
 }
 
 IncrementalClosure::CanonicalRules IncrementalClosure::Canonicalize(
@@ -108,6 +133,19 @@ IncrementalClosure::CanonicalRules IncrementalClosure::Canonicalize(
     grants = std::move(kept);
   }
   return canon;
+}
+
+Status IncrementalClosure::RebuildClosed() {
+  AuthorizationSet closed;
+  for (catalog::ServerId s = 0; s < canon_.size(); ++s) {
+    for (const auto& [path, grants] : canon_[s]) {
+      for (const IdSet& attrs : grants) {
+        CISQP_RETURN_IF_ERROR(closed.Add(*cat_, Authorization{attrs, path, s}));
+      }
+    }
+  }
+  closed_ = std::move(closed);
+  return Status::Ok();
 }
 
 Status IncrementalClosure::Publish(catalog::ServerId server,
@@ -144,16 +182,17 @@ Status IncrementalClosure::Publish(catalog::ServerId server,
   if (prev.empty() != next.empty()) delta.full = true;
 
   canon_[server] = std::move(next);
-  AuthorizationSet closed;
-  for (catalog::ServerId s = 0; s < canon_.size(); ++s) {
-    for (const auto& [path, grants] : canon_[s]) {
-      for (const IdSet& attrs : grants) {
-        CISQP_RETURN_IF_ERROR(closed.Add(*cat_, Authorization{attrs, path, s}));
-      }
-    }
-  }
-  closed_ = std::move(closed);
-  return Status::Ok();
+  return RebuildClosed();
+}
+
+Result<ClosureDelta> IncrementalClosure::RechaseAfter(const Authorization& auth,
+                                                      bool grant,
+                                                      ClosureDelta delta) {
+  CISQP_RETURN_IF_ERROR(ChaseAll());
+  delta.full = true;
+  delta.servers.Insert(auth.server);
+  (grant ? delta.added_rules : delta.removed_rules) = 1;
+  return delta;
 }
 
 Result<ClosureDelta> IncrementalClosure::AddRule(const Authorization& auth) {
@@ -162,6 +201,7 @@ Result<ClosureDelta> IncrementalClosure::AddRule(const Authorization& auth) {
   CISQP_METRIC_INC("authz.incremental.grants");
   ClosureDelta delta;
   delta.relations = RuleRelations(*cat_, auth);
+  if (capped_) return RechaseAfter(auth, /*grant=*/true, std::move(delta));
 
   RulePool& pool = pools_[auth.server];
   const std::size_t delta_begin = pool.size();
@@ -175,16 +215,17 @@ Result<ClosureDelta> IncrementalClosure::AddRule(const Authorization& auth) {
   // sees exactly what a from-scratch chase over the edited base would: the
   // server's existing derivations plus this delta round's — never other
   // servers' work or earlier edits' rechases.
+  const std::size_t prior = derived_[auth.server];
   ChaseStats local;
-  local.derived_rules = derived_[auth.server];
+  local.derived_rules = prior;
   const Status run = chase_internal::RunSemiNaive(
       *cat_, *index_, pool, delta_begin, auth.server, options_, local);
-  stats_.iterations += local.iterations;
-  stats_.pairs_considered += local.pairs_considered;
-  stats_.derived_rules += local.derived_rules - derived_[auth.server];
-  CISQP_RETURN_IF_ERROR(run);
   derived_[auth.server] = local.derived_rules;
-  CISQP_RETURN_IF_ERROR(CheckClosureCap());
+  local.derived_rules -= prior;
+  AddStats(stats_, local);
+  if (!run.ok() || OverClosureCap()) {
+    return RechaseAfter(auth, /*grant=*/true, std::move(delta));
+  }
   CISQP_RETURN_IF_ERROR(Publish(auth.server, Canonicalize(pool), delta));
   span.AddAttribute("added_rules", delta.added_rules);
   return delta;
@@ -196,9 +237,18 @@ Result<ClosureDelta> IncrementalClosure::RevokeRule(const Authorization& auth) {
   CISQP_METRIC_INC("authz.incremental.revokes");
   ClosureDelta delta;
   delta.relations = RuleRelations(*cat_, auth);
+  if (capped_) return RechaseAfter(auth, /*grant=*/false, std::move(delta));
 
-  CISQP_ASSIGN_OR_RETURN(RulePool pool, RechaseServer(auth.server));
-  CISQP_RETURN_IF_ERROR(CheckClosureCap());
+  // Fresh counter: the cap bounds this from-scratch chase of one server,
+  // never chase work accumulated over the object's lifetime.
+  RulePool pool(*index_);
+  ChaseStats local;
+  const Status run = ChaseServer(auth.server, pool, local);
+  AddStats(stats_, local);
+  derived_[auth.server] = local.derived_rules;
+  if (!run.ok() || OverClosureCap()) {
+    return RechaseAfter(auth, /*grant=*/false, std::move(delta));
+  }
   CanonicalRules next = Canonicalize(pool);
   pools_[auth.server] = std::move(pool);
   CISQP_RETURN_IF_ERROR(Publish(auth.server, std::move(next), delta));

@@ -1,8 +1,10 @@
-// IncrementalClosure: delta maintenance of the chase closure under
-// grant/revoke edits (DESIGN.md §16).
+// IncrementalClosure: the chase closure of a policy, computed once and then
+// maintained under grant/revoke edits (DESIGN.md §16).
 //
-// The batch chase (chase.cpp) recomputes every server's fixpoint from
-// scratch on any policy change. This class keeps the per-server semi-naïve
+// Build runs the batch chase: every server's semi-naïve fixpoint from
+// scratch, fanned out across a ThreadPool and reduced in server order.
+// ChaseClosure (chase.hpp) is a thin wrapper over it, so the one-shot chase
+// and the maintained one are the same code. The object keeps the per-server
 // rule pools alive between edits and updates them as deltas:
 //
 //   grant   the new rule is appended to its server's persistent pool and
@@ -32,10 +34,17 @@
 // kNoRulesForServer deny reason for *every* profile probed at that server,
 // so the delta degrades to `full` and the caches sweep as before.
 //
-// closed() is maintained in canonical form (minimized, grants sorted within
-// each path) and equals Canonicalize(ChaseClosure(base)) after every edit —
-// the invariant the policy-edit fuzz arm checks against the from-scratch
-// oracle, byte for byte.
+// The derived-rules cap (ChaseOptions::max_derived_rules) is a state, not
+// an error. When it trips — in Build or in an edit — the object is
+// capped(): closed() is the raw base policy (sound: the chase only adds
+// derivable grants, so the raw rules are just stricter), and every edit
+// applied while capped edits the base, rechases from scratch (which may
+// lift the cap), and reports a `full` delta.
+//
+// Uncapped, closed() is maintained in canonical form (minimized, grants
+// sorted within each path) and equals Canonicalize(ChaseClosure(base))
+// after every edit — the invariant the policy-edit fuzz arm checks against
+// the from-scratch oracle, byte for byte.
 #pragma once
 
 #include <map>
@@ -52,7 +61,8 @@ namespace cisqp::authz {
 /// What one policy edit changed, summarized for cache invalidation.
 struct ClosureDelta {
   /// Selective retention is unsound for this edit (a server's rule set
-  /// appeared or vanished); every epoch-stamped cache entry must go.
+  /// appeared or vanished, or the closure was capped before or after it);
+  /// every epoch-stamped cache entry must go.
   bool full = false;
   /// Relations whose authorized profiles may have changed: any cached
   /// verdict/plan touching none of them is unaffected by the edit.
@@ -71,9 +81,12 @@ struct ClosureDelta {
 
 class IncrementalClosure {
  public:
-  /// Chases `base` once (batch semantics, including the derived-rules cap:
-  /// kResourceExhausted when it trips) and retains the per-server pools for
-  /// later edits. `cat` must outlive the object.
+  /// Chases `base` from scratch: per-server fixpoints on
+  /// ChaseOptions::threads workers (0 = hardware concurrency, 1 = the
+  /// calling thread), reduced in server order, the whole-closure cap
+  /// checked over the running total in that order — so closure, stats and
+  /// cap verdict are identical at any thread count. A tripped cap yields a
+  /// capped() object, not an error. `cat` must outlive the object.
   static Result<IncrementalClosure> Build(const catalog::Catalog& cat,
                                           const AuthorizationSet& base,
                                           const ChaseOptions& options = {});
@@ -82,8 +95,13 @@ class IncrementalClosure {
   const AuthorizationSet& base() const noexcept { return base_; }
 
   /// The canonical chased closure of base(): minimized, grants sorted
-  /// within each (server, path) bucket.
-  const AuthorizationSet& closed() const noexcept { return closed_; }
+  /// within each (server, path) bucket. base() itself while capped().
+  const AuthorizationSet& closed() const noexcept {
+    return capped_ ? base_ : closed_;
+  }
+
+  /// True while the chase of base() exceeds ChaseOptions::max_derived_rules.
+  bool capped() const noexcept { return capped_; }
 
   /// Chase work accumulated across Build and every edit, for reporting
   /// only. The ChaseOptions::max_derived_rules cap is NOT applied to this
@@ -94,41 +112,61 @@ class IncrementalClosure {
   const ChaseStats& stats() const noexcept { return stats_; }
 
   /// Grants `auth`. Validation failures (kInvalidArgument, kNotFound,
-  /// kAlreadyExists) leave the object untouched and usable; a
-  /// kResourceExhausted cap trip leaves it inconsistent — discard it and
-  /// fall back to the batch chase.
+  /// kAlreadyExists) leave the object untouched.
   Result<ClosureDelta> AddRule(const Authorization& auth);
 
-  /// Revokes exactly `auth` from the base policy (kNotFound when absent;
-  /// the object stays usable). Rederives the edited server only.
+  /// Revokes exactly `auth` from the base policy (kNotFound when absent,
+  /// nothing changed). Rederives the edited server only.
   Result<ClosureDelta> RevokeRule(const Authorization& auth);
 
  private:
+  /// Reads the un-minimized pools, in server and derivation order.
+  friend Result<AuthorizationSet> ChaseClosure(const catalog::Catalog& cat,
+                                               const AuthorizationSet& auths,
+                                               const ChaseOptions& options,
+                                               ChaseStats* stats);
+
   /// Minimized per-path grants of one server, sorted within each path —
   /// the canonical form diffs and closed() are built from.
   using CanonicalRules = std::map<JoinPath, std::vector<IdSet>>;
 
-  IncrementalClosure(const catalog::Catalog& cat, ChaseOptions options);
+  IncrementalClosure(const catalog::Catalog& cat, AuthorizationSet base,
+                     ChaseOptions options);
 
   static CanonicalRules Canonicalize(const chase_internal::RulePool& pool);
+
+  /// The batch chase: rechases every server of base() in parallel and
+  /// reduces in server order, setting capped_ when the cap trips.
+  Status ChaseAll();
+
+  /// Seeds `pool` with `server`'s base rules and runs its fixpoint from
+  /// scratch under a fresh counter in `stats`; kResourceExhausted when the
+  /// per-server cap trips. Reads only immutable state (safe in parallel).
+  Status ChaseServer(catalog::ServerId server, chase_internal::RulePool& pool,
+                     ChaseStats& stats) const;
+
+  /// An edit the delta path cannot take — made while capped, or one that
+  /// tripped the cap: rechases everything and reports a full delta.
+  Result<ClosureDelta> RechaseAfter(const Authorization& auth, bool grant,
+                                    ClosureDelta delta);
 
   /// Replaces server `s`'s canonical rules with `next`, rebuilds closed(),
   /// and fills the delta bookkeeping (counts, transition, servers).
   Status Publish(catalog::ServerId server, CanonicalRules next,
                  ClosureDelta& delta);
 
-  /// Rechases one server from its current base rules into a fresh pool,
-  /// updating derived_[server] on success.
-  Result<chase_internal::RulePool> RechaseServer(catalog::ServerId server);
+  /// closed_ assembled from canon_, server by server.
+  Status RebuildClosed();
 
-  /// kResourceExhausted when the per-server derived counts sum past
-  /// max_derived_rules — the batch chase's whole-closure budget.
-  Status CheckClosureCap() const;
+  /// True when the per-server derived counts sum past max_derived_rules —
+  /// the batch chase's whole-closure budget.
+  bool OverClosureCap() const;
 
   const catalog::Catalog* cat_;
   ChaseOptions options_;
   std::unique_ptr<chase_internal::EdgeIndex> index_;
   AuthorizationSet base_;
+  bool capped_ = false;
   std::vector<chase_internal::RulePool> pools_;  ///< per server, persistent
   std::vector<CanonicalRules> canon_;            ///< per server, canonical
   /// Rules each server's pool holds beyond its base seeds; the cap applies

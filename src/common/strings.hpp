@@ -24,4 +24,15 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b) noexcept;
 /// Lower-cases ASCII letters.
 std::string ToLowerAscii(std::string_view text);
 
+/// `prefix` followed by `std::to_string(n)` ("r" and 12 give "r12"). Built
+/// by appending: GCC 12 reports a false -Wrestrict overlap on
+/// `"r" + std::to_string(n)` (operator+(const char*, std::string&&)) in
+/// Release builds.
+template <typename Int>
+std::string Numbered(std::string_view prefix, Int n) {
+  std::string out(prefix);
+  out += std::to_string(n);
+  return out;
+}
+
 }  // namespace cisqp

@@ -4,6 +4,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "common/strings.hpp"
 #include "obs/profile.hpp"
 #include "plan/plan_node.hpp"
 #include "plan/query_spec.hpp"
@@ -44,9 +45,10 @@ std::string ConjunctToken(const algebra::Comparison& c) {
   token += std::to_string(c.lhs);
   token += algebra::CompareOpSymbol(c.op);
   if (c.rhs_is_attribute()) {
-    token += "a" + std::to_string(std::get<catalog::AttributeId>(c.rhs));
+    token += Numbered("a", std::get<catalog::AttributeId>(c.rhs));
   } else {
-    token += "v" + std::get<storage::Value>(c.rhs).ToString();
+    token += 'v';
+    token += std::get<storage::Value>(c.rhs).ToString();
   }
   return token;
 }
@@ -56,7 +58,10 @@ std::string ConjunctToken(const algebra::Comparison& c) {
 std::string AtomToken(const algebra::EquiJoinAtom& atom) {
   const catalog::AttributeId lo = std::min(atom.left, atom.right);
   const catalog::AttributeId hi = std::max(atom.left, atom.right);
-  return "j" + std::to_string(lo) + "=" + std::to_string(hi);
+  std::string token = Numbered("j", lo);
+  token += '=';
+  token += std::to_string(hi);
+  return token;
 }
 
 std::string Assemble(std::vector<std::string> relations,
@@ -89,7 +94,7 @@ void CollectSubtree(const PlanNode& node, std::vector<std::string>& relations,
                     std::vector<std::string>& atoms) {
   switch (node.op) {
     case PlanOp::kRelation:
-      relations.push_back("r" + std::to_string(node.relation));
+      relations.push_back(Numbered("r", node.relation));
       return;
     case PlanOp::kProject:
       CollectSubtree(*node.left, relations, conjuncts, atoms);
@@ -131,7 +136,7 @@ std::string SpecSubsetSignature(
   std::vector<std::string> relations;
   relations.reserve(subset.size());
   for (const catalog::RelationId rel : subset) {
-    relations.push_back("r" + std::to_string(rel));
+    relations.push_back(Numbered("r", rel));
   }
   std::vector<std::string> conjuncts;
   for (const algebra::Comparison& c : spec.where.conjuncts()) {

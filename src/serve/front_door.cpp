@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "authz/chase.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "planner/plan_search.hpp"
@@ -10,6 +9,26 @@
 #include "sql/signature.hpp"
 
 namespace cisqp::serve {
+namespace {
+
+/// The door's closure of `auths`. Build reports a tripped cap as a state,
+/// and every rule of an AuthorizationSet was validated when it was added,
+/// so a failure here is a broken invariant.
+authz::IncrementalClosure Close(const catalog::Catalog& cat,
+                                const authz::AuthorizationSet& auths,
+                                const authz::ChaseOptions& options) {
+  Result<authz::IncrementalClosure> built =
+      authz::IncrementalClosure::Build(cat, auths, options);
+  CISQP_CHECK_MSG(built.ok(), built.status().ToString());
+  return std::move(*built);
+}
+
+}  // namespace
+
+FrontDoor::EpochState::EpochState(std::uint64_t number,
+                                  const authz::AuthorizationSet& closed,
+                                  const catalog::Catalog& cat)
+    : epoch(number), policy(closed), memo(policy, &cat) {}
 
 FrontDoor::FrontDoor(const catalog::Catalog& cat,
                      authz::AuthorizationSet auths,
@@ -22,7 +41,8 @@ FrontDoor::FrontDoor(const catalog::Catalog& cat,
       admission_(options.max_concurrent, options.max_queue,
                  options.admission_max_wait_us),
       plan_cache_(options.plan_cache_capacity),
-      base_policy_(std::move(auths)) {
+      closure_(Close(cat, auths, options.chase)),
+      state_(std::make_shared<const EpochState>(0, closure_.closed(), cat)) {
   // Cluster::TableOf materializes a relation's empty table lazily and
   // without synchronization; touch every relation now, before concurrent
   // requests exist, so the serving path only ever reads.
@@ -31,35 +51,8 @@ FrontDoor::FrontDoor(const catalog::Catalog& cat,
   }
 }
 
-Result<std::shared_ptr<const FrontDoor::EpochState>> FrontDoor::State() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  if (state_ != nullptr) return state_;
-  auto st = std::make_shared<EpochState>();
-  st->epoch = epoch_.load(std::memory_order_relaxed);
-  if (options_.chase_policy) {
-    const obs::Span span("serve.chase");
-    Result<authz::AuthorizationSet> closed =
-        authz::ChaseClosure(cat_, base_policy_, options_.chase);
-    if (closed.ok()) {
-      st->policy = std::move(*closed);
-      // Canonical form (minimized, grants sorted per path): the closure an
-      // incremental edit maintains is canonical, so serving from either
-      // source answers identically — down to deny-reason tie-breaks.
-      st->policy.Canonicalize();
-    } else if (closed.status().code() == StatusCode::kResourceExhausted) {
-      // The cap tripped: serve against the raw rules. Sound — the chase only
-      // adds derivable grants — just stricter than the full closure.
-      st->policy = base_policy_;
-      st->chase_capped = true;
-      CISQP_METRIC_INC("serve.chase_capped");
-    } else {
-      return closed.status();
-    }
-  } else {
-    st->policy = base_policy_;
-  }
-  st->memo = std::make_unique<authz::CachingPolicy>(st->policy, &cat_);
-  state_ = std::move(st);
+std::shared_ptr<const FrontDoor::EpochState> FrontDoor::State() const {
+  const std::lock_guard<std::mutex> lock(state_mu_);
   return state_;
 }
 
@@ -122,9 +115,7 @@ Result<Response> FrontDoor::Serve(const Request& request) {
   key += request.requestor.has_value() ? std::to_string(*request.requestor)
                                        : std::string("-");
 
-  Result<std::shared_ptr<const EpochState>> state_r = State();
-  if (!state_r.ok()) return state_r.status();
-  const std::shared_ptr<const EpochState> state = std::move(*state_r);
+  const std::shared_ptr<const EpochState> state = State();
   out.policy_epoch = state->epoch;
 
   const std::int64_t plan_start = obs::NowMicros();
@@ -144,7 +135,7 @@ Result<Response> FrontDoor::Serve(const Request& request) {
     }
     obs::Span plan_span("serve.plan", span);
     plan_span.AddAttribute("cached", "false");
-    planner::FeasiblePlanSearch search(cat_, *state->memo, stats_, nullptr);
+    planner::FeasiblePlanSearch search(cat_, state->memo, stats_, nullptr);
     planner::PlanSearchOptions popt;
     popt.max_orders = options_.max_orders;
     popt.threads = options_.planning_threads;
@@ -187,7 +178,7 @@ Result<Response> FrontDoor::Serve(const Request& request) {
   eopt.pool = options_.exec_pool;
   eopt.threads = options_.exec_threads;
   eopt.morsel = options_.morsel;
-  const exec::DistributedExecutor executor(cluster_, *state->memo);
+  const exec::DistributedExecutor executor(cluster_, state->memo);
   Result<exec::ExecutionResult> run = [&] {
     const obs::Span exec_span("serve.exec", span);
     return executor.Execute(entry->handle->plan,
@@ -207,23 +198,10 @@ Result<Response> FrontDoor::Serve(const Request& request) {
   return out;
 }
 
-void FrontDoor::RetireMemoCountersLocked() {
-  if (state_ != nullptr && state_->memo != nullptr) {
-    retired_canview_hits_ += state_->memo->hits();
-    retired_canview_misses_ += state_->memo->misses();
-  }
-}
-
 void FrontDoor::SetPolicy(authz::AuthorizationSet auths) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  base_policy_ = std::move(auths);
-  inc_.reset();  // wholesale replacement: rebuild the closure from scratch
-  RetireMemoCountersLocked();
-  state_.reset();
-  const std::uint64_t next =
-      epoch_.fetch_add(1, std::memory_order_relaxed) + 1;
-  plan_cache_.InvalidateBefore(next);
-  CISQP_METRIC_INC("serve.policy_epoch_bumps");
+  const std::lock_guard<std::mutex> lock(edit_mu_);
+  closure_ = Close(cat_, auths, options_.chase);
+  Publish(nullptr);
 }
 
 Result<authz::ClosureDelta> FrontDoor::AddRule(const authz::Authorization& auth) {
@@ -237,120 +215,40 @@ Result<authz::ClosureDelta> FrontDoor::RevokeRule(
 
 Result<authz::ClosureDelta> FrontDoor::EditPolicy(
     const authz::Authorization& auth, bool grant) {
-  const std::lock_guard<std::mutex> lock(mu_);
+  const std::lock_guard<std::mutex> lock(edit_mu_);
   const obs::Span span(grant ? "serve.policy_grant" : "serve.policy_revoke");
-  authz::ClosureDelta delta;
-  bool incremental = false;
-  const bool capped = state_ != nullptr && state_->chase_capped;
-  if (options_.chase_policy && !capped) {
-    if (inc_ == nullptr) {
-      Result<authz::IncrementalClosure> built =
-          authz::IncrementalClosure::Build(cat_, base_policy_, options_.chase);
-      if (built.ok()) {
-        inc_ = std::make_unique<authz::IncrementalClosure>(std::move(*built));
-      } else if (built.status().code() != StatusCode::kResourceExhausted) {
-        return built.status();
-      }
-      // Cap trip: leave inc_ null and take the full-sweep path below —
-      // serving already degrades to the raw rules in State().
-    }
-  } else if (options_.chase_policy) {
-    // Capped state serves raw rules; keep doing so via the full path.
-    inc_.reset();
-  }
-  if (inc_ != nullptr) {
-    Result<authz::ClosureDelta> edited =
-        grant ? inc_->AddRule(auth) : inc_->RevokeRule(auth);
-    if (edited.ok()) {
-      delta = std::move(*edited);
-      incremental = true;
-      // Mirror the edit so base_policy_ stays equal to inc_->base() (the
-      // same validation just passed inside the incremental closure).
-      const Status mirrored = grant ? base_policy_.Add(cat_, auth)
-                                    : base_policy_.Remove(cat_, auth);
-      if (!mirrored.ok()) {
-        // The identical validation passed inside the incremental closure,
-        // so a mirror refusal means inc_->base() now holds the edit while
-        // base_policy_ does not — the two were already out of step. Discard
-        // the divergent closure and the published state so nothing ever
-        // serves the half-applied edit; the edit is reported failed and
-        // base_policy_ (without it) stays the truth State() rebuilds from.
-        inc_.reset();
-        RetireMemoCountersLocked();
-        state_.reset();
-        plan_cache_.InvalidateBefore(
-            epoch_.fetch_add(1, std::memory_order_relaxed) + 1);
-        return mirrored;
-      }
-    } else if (edited.status().code() == StatusCode::kResourceExhausted) {
-      // The chase cap tripped mid-edit: the incremental pools are
-      // inconsistent, but the base edit itself was validated and applied.
-      // Discard the maintained closure, apply the edit to the raw rules,
-      // and fall back to a full sweep; State() re-detects the cap lazily.
-      inc_.reset();
-      const Status applied = grant ? base_policy_.Add(cat_, auth)
-                                   : base_policy_.Remove(cat_, auth);
-      if (!applied.ok()) return applied;
-      delta.full = true;
-      delta.relations = authz::RuleRelations(cat_, auth);
-      delta.servers.Insert(auth.server);
-      if (grant) delta.added_rules = 1; else delta.removed_rules = 1;
-    } else {
-      return edited.status();  // validation failure: nothing changed
-    }
-  } else {
-    // Chase off (or capped): the served policy IS the base rule set, so the
-    // only rule that changes is the edited one. Selective retention is
-    // still sound — unless the server's rule set transitions between empty
-    // and non-empty, which flips kNoRulesForServer denials for every
-    // profile at that server.
-    const bool was_empty = base_policy_.ForServer(auth.server).empty();
-    const Status applied = grant ? base_policy_.Add(cat_, auth)
-                                 : base_policy_.Remove(cat_, auth);
-    if (!applied.ok()) return applied;
-    const bool is_empty = base_policy_.ForServer(auth.server).empty();
-    delta.relations = authz::RuleRelations(cat_, auth);
-    delta.servers.Insert(auth.server);
-    // With the chase on we only reach here capped (state or build), where a
-    // full sweep is the only sound answer; with it off, selective retention
-    // holds unless the server's rule set transitioned empty <-> non-empty.
-    delta.full = options_.chase_policy || (was_empty != is_empty);
-    if (grant) delta.added_rules = 1; else delta.removed_rules = 1;
-  }
-
-  RetireMemoCountersLocked();
-  const std::uint64_t next =
-      epoch_.fetch_add(1, std::memory_order_relaxed) + 1;
-  CISQP_METRIC_INC("serve.policy_epoch_bumps");
+  Result<authz::ClosureDelta> delta =
+      grant ? closure_.AddRule(auth) : closure_.RevokeRule(auth);
+  if (!delta.ok()) return delta;  // validation failure: nothing changed
   CISQP_METRIC_INC(grant ? "serve.policy_grants" : "serve.policy_revokes");
-  if (delta.full || state_ == nullptr) {
-    // Full sweep: no retained entries, closure (re)built lazily by State().
-    state_.reset();
-    plan_cache_.InvalidateBefore(next);
-    return delta;
-  }
-  // Publish the new epoch eagerly from the maintained closure (or the raw
-  // rules when the chase is off) and re-stamp every cache entry whose
-  // relations are disjoint from the delta: no verdict it depends on changed.
-  auto st = std::make_shared<EpochState>();
-  st->epoch = next;
-  st->policy = incremental ? inc_->closed() : base_policy_;
-  st->memo = std::make_unique<authz::CachingPolicy>(st->policy, &cat_);
-  if (state_->memo != nullptr) {
-    st->memo->RetainFrom(*state_->memo, delta.relations);
-  }
-  state_ = std::move(st);
-  plan_cache_.AdvanceEpoch(next, delta.relations);
+  Publish(&*delta);
   return delta;
 }
 
-void FrontDoor::ClearCaches() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  RetireMemoCountersLocked();
-  state_.reset();  // drops the chased closure and the CanView memo
-  plan_cache_.Clear();
-  const std::lock_guard<std::mutex> sig_lock(sig_mu_);
-  sig_memo_.clear();
+void FrontDoor::Publish(const authz::ClosureDelta* delta) {
+  // Snapshot the closure and seed the new memo before taking the reader
+  // lock: readers only ever wait for the swap below. Writers are
+  // serialized by edit_mu_, so `prev` stays the published state throughout.
+  const std::shared_ptr<const EpochState> prev = State();
+  auto next =
+      std::make_shared<EpochState>(prev->epoch + 1, closure_.closed(), cat_);
+  // Re-stamp what the edit provably left intact: every cache entry whose
+  // relations are disjoint from the delta.
+  const bool retain = delta != nullptr && !delta->full;
+  if (retain) next->memo.RetainFrom(prev->memo, delta->relations);
+
+  const std::lock_guard<std::mutex> lock(state_mu_);
+  retired_canview_hits_ += prev->memo.hits();
+  retired_canview_misses_ += prev->memo.misses();
+  // Re-stamp the plan cache before any reader can snapshot the new epoch.
+  if (retain) {
+    plan_cache_.AdvanceEpoch(next->epoch, delta->relations);
+  } else {
+    plan_cache_.InvalidateBefore(next->epoch);
+  }
+  state_ = std::move(next);
+  epoch_.store(state_->epoch, std::memory_order_release);
+  CISQP_METRIC_INC("serve.policy_epoch_bumps");
 }
 
 FrontDoorStats FrontDoor::Stats() const {
@@ -363,14 +261,10 @@ FrontDoorStats FrontDoor::Stats() const {
   stats.plan_cache_stale_evictions = plan_cache_.stale_evictions();
   stats.plan_cache_retained = plan_cache_.retained();
   stats.plan_cache_size = plan_cache_.size();
-  const std::lock_guard<std::mutex> lock(mu_);
-  stats.canview_hits = retired_canview_hits_;
-  stats.canview_misses = retired_canview_misses_;
-  if (state_ != nullptr && state_->memo != nullptr) {
-    stats.canview_hits += state_->memo->hits();
-    stats.canview_misses += state_->memo->misses();
-    stats.canview_memo_size = state_->memo->size();
-  }
+  const std::lock_guard<std::mutex> lock(state_mu_);
+  stats.canview_hits = retired_canview_hits_ + state_->memo.hits();
+  stats.canview_misses = retired_canview_misses_ + state_->memo.misses();
+  stats.canview_memo_size = state_->memo.size();
   return stats;
 }
 

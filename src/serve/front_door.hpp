@@ -6,9 +6,11 @@
 // decides who runs, who queues, and who is told to back off, and two caches
 // amortize the paper's expensive per-query work across requests:
 //
-//   * the policy chase closure is computed once per *policy epoch* and
-//     shared by every request of that epoch (it depends only on the policy
-//     and the schema, never on the query);
+//   * the policy's chase closure has one owner, an authz::IncrementalClosure
+//     built at construction and by SetPolicy and edited by AddRule /
+//     RevokeRule; each *policy epoch* publishes an immutable snapshot of it
+//     that every request of the epoch shares (it depends only on the
+//     policy and the schema, never on the query);
 //   * the plan cache (PlanCache) maps (canonical query signature, policy
 //     epoch) to the finished feasibility search — a repeated query shape
 //     skips join-order enumeration and every Fig. 6 traversal;
@@ -19,10 +21,14 @@
 // The serving contract, enforced by the fuzz harness's serving arm: for any
 // fixed request, a cache-hit answer is byte-identical to the cold answer —
 // same table bytes on success, same typed status on failure. Policy changes
-// go through SetPolicy, which installs the new rules and bumps the epoch;
-// entries of older epochs can never be served again (PlanCache checks the
-// stamp, the memo is per-epoch state), so staleness is structurally
-// impossible rather than probabilistically unlikely.
+// go through SetPolicy (replace the rules) or AddRule / RevokeRule (edit one
+// rule), each of which publishes a new epoch; entries of older epochs are
+// never served again unless an edit's ClosureDelta proves them unaffected
+// and re-stamps them (PlanCache checks the stamp, the memo is per-epoch
+// state), so staleness is structurally impossible rather than
+// probabilistically unlikely. An edit's closure work runs under a writer
+// lock only; readers wait at most for the publish step that swaps the
+// epoch's snapshot.
 //
 // Execution runs on a shared worker pool (ServeOptions::exec_pool /
 // exec_threads) with per-request ExecutionOptions; requests never share
@@ -32,6 +38,7 @@
 
 #include <atomic>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -63,9 +70,8 @@ struct ServeOptions {
   std::size_t planning_threads = 1;
   bool allow_third_party = false;
 
-  // Close the policy under the chase once per epoch. Off serves against the
-  // raw rule set (sound but refuses derivable-view queries).
-  bool chase_policy = true;
+  // The policy's chase closure. When max_derived_rules trips, the door
+  // serves the raw rules (sound, just stricter) until an edit fits again.
   authz::ChaseOptions chase;
 
   // Per-request execution defaults.
@@ -124,8 +130,8 @@ struct FrontDoorStats {
 class FrontDoor {
  public:
   /// The catalog, cluster, and stats must outlive the front door; the
-  /// policy is owned (SetPolicy replaces it). `stats` may be null (model
-  /// defaults drive the cost ranking).
+  /// policy is owned and chased here (SetPolicy replaces it). `stats` may be
+  /// null (model defaults drive the cost ranking).
   FrontDoor(const catalog::Catalog& cat, authz::AuthorizationSet auths,
             const exec::Cluster& cluster, const plan::StatsCatalog* stats,
             ServeOptions options = {});
@@ -138,9 +144,9 @@ class FrontDoor {
   Result<Response> Serve(const Request& request);
 
   /// Installs a new rule set and bumps the policy epoch: the chase closure
-  /// is recomputed lazily, plan-cache entries of older epochs are swept,
-  /// and a fresh CanView memo starts. In-flight requests finish against the
-  /// epoch they started under.
+  /// is rebuilt, plan-cache entries of older epochs are swept, and a fresh
+  /// CanView memo starts. In-flight requests finish against the epoch they
+  /// started under.
   void SetPolicy(authz::AuthorizationSet auths);
 
   /// Grants one rule incrementally (DESIGN.md §16): the chase closure is
@@ -148,46 +154,46 @@ class FrontDoor {
   /// and plan-cache/CanView-memo entries whose relations are disjoint from
   /// the edit's ClosureDelta are re-stamped into the new epoch instead of
   /// swept. Validation failures (kInvalidArgument, kNotFound,
-  /// kAlreadyExists) change nothing — no epoch bump, caches intact. Falls
-  /// back to SetPolicy semantics (full sweep, lazy rechase) when the
-  /// incremental path is unavailable (chase off, closure capped).
+  /// kAlreadyExists) change nothing — no epoch bump, caches intact. A
+  /// `full` delta (a server's rule set appeared or vanished, or the closure
+  /// is or was capped) sweeps like SetPolicy.
   Result<authz::ClosureDelta> AddRule(const authz::Authorization& auth);
 
   /// Revokes one rule incrementally; kNotFound when the exact rule is not
   /// in the base policy. Same retention contract as AddRule.
   Result<authz::ClosureDelta> RevokeRule(const authz::Authorization& auth);
 
+  /// The published epoch. Never ahead of what a Serve that starts now
+  /// snapshots: the epoch is stored in the same publish step as the state.
   std::uint64_t policy_epoch() const noexcept {
-    return epoch_.load(std::memory_order_relaxed);
+    return epoch_.load(std::memory_order_acquire);
   }
-
-  /// Drops every cache (plan cache, CanView memo, chased closure) without
-  /// bumping the epoch — the benches' cold-path switch.
-  void ClearCaches();
 
   FrontDoorStats Stats() const;
 
  private:
   /// Everything derived from one policy epoch, immutable once published;
   /// requests snapshot one shared_ptr and stay internally consistent even
-  /// across a concurrent SetPolicy.
+  /// across a concurrent policy change.
   struct EpochState {
-    std::uint64_t epoch = 0;
-    authz::AuthorizationSet policy;  ///< chased closure (or raw on cap/off)
-    bool chase_capped = false;
-    std::unique_ptr<authz::CachingPolicy> memo;  ///< wraps `policy`
+    EpochState(std::uint64_t number, const authz::AuthorizationSet& closed,
+               const catalog::Catalog& cat);
+    const std::uint64_t epoch;
+    const authz::AuthorizationSet policy;  ///< closure_.closed() at publish
+    authz::CachingPolicy memo;             ///< wraps `policy`
   };
 
-  /// The current epoch's state, chasing the policy on first use.
-  Result<std::shared_ptr<const EpochState>> State();
+  /// The current epoch's state (a short state_mu_ critical section).
+  std::shared_ptr<const EpochState> State() const;
 
   /// Shared grant/revoke implementation; `grant` selects the direction.
   Result<authz::ClosureDelta> EditPolicy(const authz::Authorization& auth,
                                          bool grant);
 
-  /// With mu_ held: folds the live memo's counters into the retired totals
-  /// before the state it belongs to is replaced.
-  void RetireMemoCountersLocked();
+  /// With edit_mu_ held: publishes closure_ as the next epoch. `delta` null
+  /// (or full) sweeps every cache; otherwise entries disjoint from
+  /// delta->relations are re-stamped into the new epoch.
+  void Publish(const authz::ClosureDelta* delta);
 
   /// Raw-SQL-text → canonical signature memo: a repeated spelling skips
   /// parse+bind entirely (signatures depend only on the immutable catalog,
@@ -203,19 +209,21 @@ class FrontDoor {
 
   AdmissionController admission_;
   PlanCache plan_cache_;
-  std::atomic<std::uint64_t> epoch_{0};
   std::atomic<std::uint64_t> requests_{0};
 
   mutable std::mutex sig_mu_;  ///< guards sig_memo_
   std::unordered_map<std::string, std::string> sig_memo_;
 
-  mutable std::mutex mu_;  ///< guards base_policy_, state_, inc_, counters
-  authz::AuthorizationSet base_policy_;
-  std::shared_ptr<const EpochState> state_;  ///< null until first State()
-  /// Incrementally maintained closure of base_policy_; built lazily on the
-  /// first AddRule/RevokeRule, dropped whenever the incremental path cannot
-  /// keep up (SetPolicy, cap trips).
-  std::unique_ptr<authz::IncrementalClosure> inc_;
+  /// Serializes policy writers and guards closure_: the one record of the
+  /// policy (its base()) and of its chase closure.
+  std::mutex edit_mu_;
+  authz::IncrementalClosure closure_;
+
+  /// Guards the published epoch: state_, the retired memo counters, and
+  /// every store to epoch_. Writers hold it only to publish.
+  mutable std::mutex state_mu_;
+  std::shared_ptr<const EpochState> state_;
+  std::atomic<std::uint64_t> epoch_{0};  ///< == state_->epoch
   std::uint64_t retired_canview_hits_ = 0;
   std::uint64_t retired_canview_misses_ = 0;
 };

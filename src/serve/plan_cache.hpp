@@ -86,8 +86,6 @@ class PlanCache {
   /// edit's delta. Returns the number retained.
   std::size_t AdvanceEpoch(std::uint64_t epoch, const IdSet& changed_relations);
 
-  void Clear();
-
   std::size_t size() const;
   std::uint64_t hits() const noexcept {
     return hits_.load(std::memory_order_relaxed);

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/hash.hpp"
+#include "common/strings.hpp"
 
 namespace cisqp::sql {
 namespace {
@@ -15,7 +16,7 @@ namespace {
 /// rendering; doubles use %.17g (round-trip exact for IEEE doubles).
 std::string LiteralToken(const storage::Value& v) {
   if (v.is_null()) return "n";
-  if (v.is_int64()) return "i" + std::to_string(v.AsInt64());
+  if (v.is_int64()) return Numbered("i", v.AsInt64());
   if (v.is_double()) {
     double d = v.AsDouble();
     // Signature equality must track predicate equivalence under SqlEquals
@@ -29,14 +30,17 @@ std::string LiteralToken(const storage::Value& v) {
     return buf;
   }
   const std::string& s = v.AsString();
-  return "s" + std::to_string(s.size()) + ":" + s;
+  std::string token = Numbered("s", s.size());
+  token += ':';
+  token += s;
+  return token;
 }
 
 std::string ComparisonToken(const algebra::Comparison& c) {
-  std::string token = "a" + std::to_string(c.lhs);
+  std::string token = Numbered("a", c.lhs);
   token += CompareOpSymbol(c.op);
   if (c.rhs_is_attribute()) {
-    token += "a" + std::to_string(std::get<catalog::AttributeId>(c.rhs));
+    token += Numbered("a", std::get<catalog::AttributeId>(c.rhs));
   } else {
     token += LiteralToken(std::get<storage::Value>(c.rhs));
   }
@@ -64,14 +68,17 @@ std::string CanonicalQuerySignature(const plan::QuerySpec& spec) {
   }
   // FROM sequence, order-sensitive (the plan search's enumeration order —
   // and with it the deterministic tie-break — follows the spec's order).
-  sig += "|F:" + std::to_string(spec.first_relation);
+  sig += Numbered("|F:", spec.first_relation);
   for (const plan::JoinStep& step : spec.joins) {
-    sig += "|J" + std::to_string(step.relation) + ":";
+    sig += Numbered("|J", step.relation);
+    sig += ':';
     std::vector<std::string> atoms;
     atoms.reserve(step.atoms.size());
     for (const algebra::EquiJoinAtom& atom : step.atoms) {
-      atoms.push_back("a" + std::to_string(atom.left) + "=a" +
-                      std::to_string(atom.right));
+      std::string token = Numbered("a", atom.left);
+      token += "=a";
+      token += std::to_string(atom.right);
+      atoms.push_back(std::move(token));
     }
     AppendSorted(sig, std::move(atoms));
   }

@@ -378,18 +378,10 @@ Result<CheckReport> CheckScenario(const Scenario& s,
     authz::AuthorizationSet oracle_base = s.auths;
 
     // Closure-level differential: a separately maintained incremental
-    // closure vs a from-scratch rechase. Capped scenarios abstain (the door
-    // degrades to serving the raw rules in that regime anyway).
-    std::optional<authz::IncrementalClosure> inc;
-    {
-      Result<authz::IncrementalClosure> built =
-          authz::IncrementalClosure::Build(cat, s.auths, serve_options.chase);
-      if (built.ok()) {
-        inc.emplace(std::move(*built));
-      } else if (built.status().code() != StatusCode::kResourceExhausted) {
-        return built.status();
-      }
-    }
+    // closure vs a from-scratch rechase (ChaseClosure, i.e. a fresh Build).
+    CISQP_ASSIGN_OR_RETURN(
+        authz::IncrementalClosure inc,
+        authz::IncrementalClosure::Build(cat, s.auths, serve_options.chase));
 
     // Candidate rules: the scenario's own grants plus one-attribute-narrowed
     // variants (still well formed — shrinking attributes cannot violate the
@@ -456,67 +448,65 @@ Result<CheckReport> CheckScenario(const Scenario& s,
       }
       if (!edited.ok()) continue;  // both rejected the edit: nothing changed
 
-      if (inc.has_value()) {
-        Result<authz::ClosureDelta> inc_edit =
-            grant ? inc->AddRule(cand) : inc->RevokeRule(cand);
-        if (!inc_edit.ok()) {
-          if (inc_edit.status().code() != StatusCode::kResourceExhausted) {
-            fail(MismatchKind::kPolicyEditDivergence,
-                 edit_label + ": incremental closure rejected an edit the "
-                              "base accepted: " +
-                     inc_edit.status().ToString());
-            break;
-          }
-          inc.reset();  // cap tripped mid-edit: abstain from closure diffs
-        }
+      const Result<authz::ClosureDelta> inc_edit =
+          grant ? inc.AddRule(cand) : inc.RevokeRule(cand);
+      if (!inc_edit.ok()) {
+        fail(MismatchKind::kPolicyEditDivergence,
+             edit_label + ": incremental closure rejected an edit the base "
+                          "accepted: " +
+                 inc_edit.status().ToString());
+        break;
       }
-      if (inc.has_value()) {
-        Result<authz::AuthorizationSet> rechased = InternalError("unset");
-        Timed(report.oracle_us, [&] {
-          rechased =
-              authz::ChaseClosure(cat, oracle_base, serve_options.chase);
-        });
-        if (rechased.ok()) {
-          if (CanonicalPolicy(cat, inc->closed()) !=
-              CanonicalPolicy(cat, *rechased)) {
-            fail(MismatchKind::kPolicyEditDivergence,
-                 edit_label +
-                     ": incrementally maintained closure differs from the "
-                     "full rechase");
-          }
-          // Deny reasons byte-for-byte: probe every candidate rule's shape
-          // against every server under both closures. Canonicalizing the
-          // rechase pins ExplainCanView's first-wins tie-break to the same
-          // order the incremental closure maintains.
-          authz::AuthorizationSet canonical = std::move(*rechased);
-          canonical.Canonicalize();
-          for (const authz::Authorization& probe : pool) {
-            authz::Profile p;
-            p.pi = probe.attributes;
-            p.join = probe.path;
-            for (std::size_t srv = 0; srv < cat.server_count(); ++srv) {
-              const auto server = static_cast<catalog::ServerId>(srv);
-              const authz::CanViewExplanation got =
-                  inc->closed().ExplainCanView(p, server);
-              const authz::CanViewExplanation want =
-                  canonical.ExplainCanView(p, server);
-              if (got.allowed != want.allowed || got.reason != want.reason ||
-                  got.matched_attributes != want.matched_attributes ||
-                  got.DescribeDenial(cat) != want.DescribeDenial(cat)) {
-                fail(MismatchKind::kPolicyEditDivergence,
-                     edit_label + ": CanView verdicts diverge for profile " +
-                         p.ToString(cat) + " at server " +
-                         std::to_string(srv));
-              }
+      Result<authz::AuthorizationSet> rechased = InternalError("unset");
+      Timed(report.oracle_us, [&] {
+        rechased = authz::ChaseClosure(cat, oracle_base, serve_options.chase);
+      });
+      if (rechased.ok() && inc.capped()) {
+        // A closure is capped only by a from-scratch chase of its current
+        // base, so the rechase must be capped too.
+        fail(MismatchKind::kPolicyEditDivergence,
+             edit_label + ": incremental closure is capped where the full "
+                          "rechase fits");
+      } else if (rechased.ok()) {
+        if (CanonicalPolicy(cat, inc.closed()) !=
+            CanonicalPolicy(cat, *rechased)) {
+          fail(MismatchKind::kPolicyEditDivergence,
+               edit_label +
+                   ": incrementally maintained closure differs from the "
+                   "full rechase");
+        }
+        // Deny reasons byte-for-byte: probe every candidate rule's shape
+        // against every server under both closures. Canonicalizing the
+        // rechase pins ExplainCanView's first-wins tie-break to the same
+        // order the incremental closure maintains.
+        authz::AuthorizationSet canonical = std::move(*rechased);
+        canonical.Canonicalize();
+        for (const authz::Authorization& probe : pool) {
+          authz::Profile p;
+          p.pi = probe.attributes;
+          p.join = probe.path;
+          for (std::size_t srv = 0; srv < cat.server_count(); ++srv) {
+            const auto server = static_cast<catalog::ServerId>(srv);
+            const authz::CanViewExplanation got =
+                inc.closed().ExplainCanView(p, server);
+            const authz::CanViewExplanation want =
+                canonical.ExplainCanView(p, server);
+            if (got.allowed != want.allowed || got.reason != want.reason ||
+                got.matched_attributes != want.matched_attributes ||
+                got.DescribeDenial(cat) != want.DescribeDenial(cat)) {
+              fail(MismatchKind::kPolicyEditDivergence,
+                   edit_label + ": CanView verdicts diverge for profile " +
+                       p.ToString(cat) + " at server " +
+                       std::to_string(srv));
             }
           }
-        } else if (rechased.status().code() ==
-                   StatusCode::kResourceExhausted) {
-          inc.reset();  // oracle capped where the incremental path was not
-        } else {
-          return rechased.status();
         }
+      } else if (rechased.status().code() !=
+                 StatusCode::kResourceExhausted) {
+        return rechased.status();
       }
+      // A capped rechase abstains: delta rounds may derive fewer rules than
+      // a from-scratch chase, so the incremental closure can still fit.
 
       // Served-answer differential: the long-lived door (first serve may be
       // a retained cache hit, second is definitely warm) vs a from-scratch

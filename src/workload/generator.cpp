@@ -4,6 +4,8 @@
 #include <numeric>
 #include <string>
 
+#include "common/strings.hpp"
+
 namespace cisqp::workload {
 namespace {
 
@@ -61,7 +63,7 @@ Federation GenerateFederation(const FederationConfig& config, Rng& rng) {
   catalog::Catalog& cat = fed.catalog;
 
   for (std::size_t s = 0; s < config.servers; ++s) {
-    CISQP_CHECK(cat.AddServer("S" + std::to_string(s)).ok());
+    CISQP_CHECK(cat.AddServer(Numbered("S", s)).ok());
   }
 
   for (std::size_t r = 0; r < config.relations; ++r) {
@@ -71,16 +73,16 @@ Federation GenerateFederation(const FederationConfig& config, Rng& rng) {
         static_cast<std::int64_t>(config.min_attributes),
         static_cast<std::int64_t>(config.max_attributes)));
     std::vector<catalog::AttributeSpec> specs;
-    const std::string prefix = "R" + std::to_string(r) + "_A";
+    const std::string prefix = Numbered("R", r) + "_A";
     for (std::size_t a = 0; a < attrs; ++a) {
       specs.push_back(catalog::AttributeSpec{prefix + std::to_string(a),
                                              catalog::ValueType::kInt64});
     }
     if (rng.Chance(0.3)) {
-      specs.push_back(catalog::AttributeSpec{"R" + std::to_string(r) + "_label",
+      specs.push_back(catalog::AttributeSpec{Numbered("R", r) + "_label",
                                              catalog::ValueType::kString});
     }
-    CISQP_CHECK(cat.AddRelation("R" + std::to_string(r), server, specs,
+    CISQP_CHECK(cat.AddRelation(Numbered("R", r), server, specs,
                                 {specs.front().name})
                     .ok());
   }
@@ -350,7 +352,8 @@ Status PopulateCluster(exec::Cluster& cluster, const Federation& federation,
       for (catalog::AttributeId a : cat.relation(r).attributes) {
         const std::int64_t domain = federation.attribute_domain[a];
         if (cat.attribute(a).type == catalog::ValueType::kString) {
-          row.emplace_back("v" + std::to_string(rng.UniformInt(0, std::max<std::int64_t>(domain, 2) - 1)));
+          row.emplace_back(Numbered(
+              "v", rng.UniformInt(0, std::max<std::int64_t>(domain, 2) - 1)));
         } else {
           row.emplace_back(rng.UniformInt(0, std::max<std::int64_t>(domain, 2) - 1));
         }

@@ -203,6 +203,20 @@ TEST_F(ChaseTest, ThreadCountDoesNotChangeClosureOrStats) {
   EXPECT_EQ(seq_stats.iterations, par_stats.iterations);
   EXPECT_EQ(seq_stats.pairs_considered, par_stats.pairs_considered);
   EXPECT_EQ(seq_stats.derived_rules, par_stats.derived_rules);
+
+  // The incremental closure's Build runs the same fan-out.
+  ASSERT_OK_AND_ASSIGN(IncrementalClosure inc_seq,
+                       IncrementalClosure::Build(fix_.cat, auths, sequential));
+  ASSERT_OK_AND_ASSIGN(IncrementalClosure inc_par,
+                       IncrementalClosure::Build(fix_.cat, auths, parallel));
+  EXPECT_EQ(inc_seq.closed().ToString(fix_.cat),
+            inc_par.closed().ToString(fix_.cat));
+  EXPECT_EQ(inc_seq.stats().iterations, par_stats.iterations);
+  EXPECT_EQ(inc_par.stats().iterations, par_stats.iterations);
+  EXPECT_EQ(inc_seq.stats().pairs_considered, par_stats.pairs_considered);
+  EXPECT_EQ(inc_par.stats().pairs_considered, par_stats.pairs_considered);
+  EXPECT_EQ(inc_seq.stats().derived_rules, par_stats.derived_rules);
+  EXPECT_EQ(inc_par.stats().derived_rules, par_stats.derived_rules);
 }
 
 TEST_F(ChaseTest, ParallelChaseWithObservabilityEnabled) {
@@ -375,12 +389,70 @@ TEST_F(ChaseTest, RepeatedEditsDoNotAccumulateTowardTheDerivedRulesCap) {
 }
 
 TEST_F(ChaseTest, IncrementalBuildHonorsDerivedRulesCap) {
+  // The cap trips at the same threshold as the batch chase, as a state: a
+  // capped closure serves the raw base rules.
   AuthorizationSet base = fix_.auths;
   ASSERT_OK(base.Add(fix_.cat, "S_D", {"Patient", "Disease", "Physician"}, {}));
+  ChaseStats batch;
+  ASSERT_OK(ChaseClosure(fix_.cat, base, {}, &batch).status());
+  ASSERT_GT(batch.derived_rules, 1u);
   ChaseOptions options;
   options.max_derived_rules = 1;
-  const auto built = IncrementalClosure::Build(fix_.cat, base, options);
-  EXPECT_EQ(built.status().code(), StatusCode::kResourceExhausted);
+  ASSERT_OK_AND_ASSIGN(IncrementalClosure capped,
+                       IncrementalClosure::Build(fix_.cat, base, options));
+  EXPECT_TRUE(capped.capped());
+  EXPECT_EQ(capped.closed().ToString(fix_.cat), base.ToString(fix_.cat));
+  EXPECT_EQ(ChaseClosure(fix_.cat, base, options).status().code(),
+            StatusCode::kResourceExhausted);
+
+  options.max_derived_rules = batch.derived_rules - 1;
+  ASSERT_OK_AND_ASSIGN(IncrementalClosure just_over,
+                       IncrementalClosure::Build(fix_.cat, base, options));
+  EXPECT_TRUE(just_over.capped());
+  options.max_derived_rules = batch.derived_rules;
+  ASSERT_OK_AND_ASSIGN(IncrementalClosure fits,
+                       IncrementalClosure::Build(fix_.cat, base, options));
+  EXPECT_FALSE(fits.capped());
+  EXPECT_EQ(fits.closed().ToString(fix_.cat), CanonicalChase(fix_.cat, base));
+}
+
+TEST_F(ChaseTest, EditsWhileCappedRechaseFromScratch) {
+  // Every edit of a capped closure edits the base, reports a full delta,
+  // and rechases: a revoke that fits under the cap again lifts it.
+  AuthorizationSet base = fix_.auths;
+  ASSERT_OK(base.Add(fix_.cat, "S_D", {"Patient", "Disease", "Physician"}, {}));
+  ChaseStats batch;
+  ASSERT_OK(ChaseClosure(fix_.cat, base, {}, &batch).status());
+  ChaseOptions options;
+  options.max_derived_rules = batch.derived_rules - 1;
+  ASSERT_OK_AND_ASSIGN(IncrementalClosure inc,
+                       IncrementalClosure::Build(fix_.cat, base, options));
+  ASSERT_TRUE(inc.capped());
+
+  Authorization illness;  // S_I cannot join Illness with anything it sees
+  illness.server = Server(fix_.cat, "S_I");
+  illness.attributes = Attrs(fix_.cat, {"Illness"});
+  ASSERT_OK_AND_ASSIGN(ClosureDelta granted, inc.AddRule(illness));
+  EXPECT_TRUE(granted.full);
+  EXPECT_TRUE(inc.capped());
+  EXPECT_EQ(inc.closed().ToString(fix_.cat), inc.base().ToString(fix_.cat));
+  // A validation failure still changes nothing.
+  EXPECT_EQ(inc.AddRule(illness).status().code(), StatusCode::kAlreadyExists);
+
+  Authorization hospital;
+  hospital.server = Server(fix_.cat, "S_D");
+  hospital.attributes = Attrs(fix_.cat, {"Patient", "Disease", "Physician"});
+  ASSERT_OK_AND_ASSIGN(ClosureDelta revoked, inc.RevokeRule(hospital));
+  EXPECT_TRUE(revoked.full);
+  EXPECT_FALSE(inc.capped());
+  EXPECT_EQ(inc.closed().ToString(fix_.cat),
+            CanonicalChase(fix_.cat, inc.base()));
+
+  // Uncapped again, edits take the delta path; one that trips the cap
+  // leaves the closure capped with a full delta instead of failing.
+  ASSERT_OK_AND_ASSIGN(ClosureDelta regranted, inc.AddRule(hospital));
+  EXPECT_TRUE(regranted.full);
+  EXPECT_TRUE(inc.capped());
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 
 #include "algebra/operators.hpp"
 #include "algebra/vectorized.hpp"
+#include "common/strings.hpp"
 #include "storage/column.hpp"
 #include "test_util.hpp"
 #include "testcheck/row_kernels.hpp"
@@ -540,11 +541,11 @@ TEST(MorselParityTest, AllRowsInOnePartitionSkew) {
   Table r(right_header);
   for (int i = 0; i < 40; ++i) {
     CISQP_CHECK(l.AppendRow({Value(std::int64_t{7}),
-                             Value("l" + std::to_string(i))}).ok());
+                             Value(Numbered("l", i))}).ok());
   }
   for (int i = 0; i < 90; ++i) {
     CISQP_CHECK(r.AppendRow({Value(std::int64_t{7}),
-                             Value("r" + std::to_string(i))}).ok());
+                             Value(Numbered("r", i))}).ok());
   }
   const ColumnarBatch lb = ColumnarBatch::FromTable(Shared(l));
   const ColumnarBatch rb = ColumnarBatch::FromTable(Shared(r));

@@ -6,6 +6,7 @@
 #include "authz/profile.hpp"
 #include "common/idset.hpp"
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "test_util.hpp"
 
 namespace cisqp {
@@ -67,10 +68,10 @@ class JoinPathLaws : public ::testing::TestWithParam<std::uint64_t> {
     // always cross-relation.
     const auto s = cat_.AddServer("s").value();
     for (int r = 0; r < 6; ++r) {
-      CISQP_CHECK(cat_.AddRelation("R" + std::to_string(r), s,
-                                   {{"A" + std::to_string(r) + "0",
+      CISQP_CHECK(cat_.AddRelation(Numbered("R", r), s,
+                                   {{Numbered("A", r) + "0",
                                      catalog::ValueType::kInt64},
-                                    {"A" + std::to_string(r) + "1",
+                                    {Numbered("A", r) + "1",
                                      catalog::ValueType::kInt64}},
                                    {})
                       .ok());

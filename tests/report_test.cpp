@@ -1,6 +1,7 @@
 // Tests for the reporting helpers (DOT / Markdown rendering).
 #include <gtest/gtest.h>
 
+#include "common/strings.hpp"
 #include "obs/audit.hpp"
 #include "planner/report.hpp"
 #include "planner/safe_planner.hpp"
@@ -31,7 +32,7 @@ TEST_F(ReportTest, DotContainsEveryNodeAndShipEdges) {
   ASSERT_OK_AND_ASSIGN(std::string dot, ToDot(fix_.cat, plan_, assignment_));
   EXPECT_NE(dot.find("digraph cisqp_plan"), std::string::npos);
   for (int id = 0; id < plan_.node_count(); ++id) {
-    EXPECT_NE(dot.find("n" + std::to_string(id) + " [label="), std::string::npos)
+    EXPECT_NE(dot.find(Numbered("n", id) + " [label="), std::string::npos)
         << "missing node n" << id;
   }
   // Fig. 7: n4 (S_I) ships into n2 (S_N) and n2 (S_N) ships into n1 (S_H):
@@ -96,7 +97,7 @@ TEST_F(ReportTest, MarkdownReleasesAgreeWithAuditLog) {
                        ReleasesToMarkdown(fix_.cat, plan_, assignment_));
   for (const Release& r : releases) {
     // The report names the release's node and recipient...
-    EXPECT_NE(md.find("n" + std::to_string(r.node_id)), std::string::npos);
+    EXPECT_NE(md.find(Numbered("n", r.node_id)), std::string::npos);
     EXPECT_NE(md.find(fix_.cat.server(r.to).name), std::string::npos);
     // ...and the audit log holds the matching allow decision.
     bool found = false;

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "authz/canview_cache.hpp"
+#include "authz/chase.hpp"
 #include "exec/executor.hpp"
 #include "obs/metrics.hpp"
 #include "planner/safe_planner.hpp"
@@ -363,6 +364,162 @@ TEST_F(ServingTest, DisjointEditRetainsPlanCacheAcrossTheEpochBump) {
   EXPECT_FALSE(paper_cold2.plan_cache_hit);
   EXPECT_EQ(paper_cold2.policy_epoch, 2u);
   EXPECT_TRUE(TablesIdentical(paper_cold.table, paper_cold2.table));
+}
+
+TEST_F(ServingTest, CappedClosureServesRawRulesUntilAnEditFitsAgain) {
+  // A door whose chase trips ChaseOptions::max_derived_rules serves the raw
+  // rules; every edit while capped bumps the epoch with a full delta; and a
+  // revoke that brings the closure back under the cap restores chased
+  // serving, answering exactly like a fresh door on the edited policy.
+  const auto sd_grant = [&](const std::vector<std::string>& attrs) {
+    authz::Authorization rule;
+    rule.server = testing::Server(fix_.cat, "S_D");
+    rule.attributes = testing::Attrs(fix_.cat, attrs);
+    return rule;
+  };
+  authz::AuthorizationSet fits = fix_.auths;  // S_D also sees Hospital and
+  ASSERT_OK(fits.Add(fix_.cat, sd_grant({"Patient", "Disease", "Physician"})));
+  ASSERT_OK(fits.Add(fix_.cat, sd_grant({"Holder", "Plan"})));  // Insurance
+  const authz::Authorization registry = sd_grant({"Citizen", "HealthAid"});
+  authz::AuthorizationSet over = fits;
+  ASSERT_OK(over.Add(fix_.cat, registry));
+  authz::ChaseStats fits_stats;
+  authz::ChaseStats over_stats;
+  ASSERT_OK(authz::ChaseClosure(fix_.cat, fits, {}, &fits_stats).status());
+  ASSERT_OK(authz::ChaseClosure(fix_.cat, over, {}, &over_stats).status());
+  ASSERT_GT(over_stats.derived_rules, fits_stats.derived_rules);
+  ServeOptions options;
+  options.chase.max_derived_rules = fits_stats.derived_rules;
+
+  // Only S_D's derived joined views make this delivery to S_I safe; the raw
+  // rules refuse it.
+  Request derived = Req(
+      "SELECT Holder, Patient FROM Insurance JOIN Hospital ON Holder = "
+      "Patient JOIN Disease_list ON Disease = Illness");
+  derived.requestor = testing::Server(fix_.cat, "S_I");
+  FrontDoor door(fix_.cat, over, *cluster_, &stats_, options);
+  FrontDoor uncapped(fix_.cat, over, *cluster_, &stats_, ServeOptions{});
+  ASSERT_OK(uncapped.Serve(derived).status());
+  EXPECT_EQ(door.Serve(derived).status().code(), StatusCode::kInfeasible);
+
+  // S_I gains a Disease_list attribute it cannot join with anything: the
+  // closure stays over the cap, and the edit still sweeps.
+  authz::Authorization illness;
+  illness.server = testing::Server(fix_.cat, "S_I");
+  illness.attributes = testing::Attrs(fix_.cat, {"Illness"});
+  ASSERT_OK_AND_ASSIGN(const authz::ClosureDelta granted,
+                       door.AddRule(illness));
+  EXPECT_TRUE(granted.full);
+  EXPECT_EQ(door.policy_epoch(), 1u);
+  EXPECT_EQ(door.Serve(derived).status().code(), StatusCode::kInfeasible);
+
+  ASSERT_OK_AND_ASSIGN(const authz::ClosureDelta revoked,
+                       door.RevokeRule(registry));
+  EXPECT_TRUE(revoked.full);
+  EXPECT_EQ(door.policy_epoch(), 2u);
+  authz::AuthorizationSet edited = fits;
+  ASSERT_OK(edited.Add(fix_.cat, illness));
+  FrontDoor fresh(fix_.cat, edited, *cluster_, &stats_, options);
+  for (const Request& request :
+       {derived, Req(paper_sql_), Req(insurance_sql_)}) {
+    SCOPED_TRACE(request.sql);
+    const Result<Response> got = door.Serve(request);
+    const Result<Response> want = fresh.Serve(request);
+    ASSERT_OK(got.status());
+    ASSERT_OK(want.status());
+    EXPECT_TRUE(TablesIdentical(got->table, want->table));
+    EXPECT_EQ(got->result_server, want->result_server);
+  }
+}
+
+TEST_F(ServingTest, ConcurrentEditsServeOnlyAnswersOfTheirEpoch) {
+  // Clients serve while an admin thread alternately grants and revokes one
+  // rule. Every answer must equal the single-threaded reference for the
+  // policy of its epoch (even: base, odd: base + rule), and that epoch must
+  // lie between policy_epoch() before and after the call; a refusal must
+  // match the reference of some epoch in that window. Runs under TSan in CI.
+  authz::AuthorizationSet base = fix_.auths;  // S_D also sees Hospital
+  ASSERT_OK(base.Add(fix_.cat, "S_D", {"Patient", "Disease", "Physician"}, {}));
+  authz::Authorization rule;  // S_D also sees Insurance
+  rule.server = testing::Server(fix_.cat, "S_D");
+  rule.attributes = testing::Attrs(fix_.cat, {"Holder", "Plan"});
+  authz::AuthorizationSet granted = base;
+  ASSERT_OK(granted.Add(fix_.cat, rule));
+
+  Request derived = Req(
+      "SELECT Holder, Patient FROM Insurance JOIN Hospital ON Holder = "
+      "Patient JOIN Disease_list ON Disease = Illness");
+  derived.requestor = testing::Server(fix_.cat, "S_I");
+  const std::vector<Request> requests = {derived, Req(paper_sql_),
+                                         Req(insurance_sql_)};
+  std::vector<std::vector<Result<Response>>> refs(2);
+  for (std::size_t state = 0; state < 2; ++state) {
+    FrontDoor ref(fix_.cat, state == 0 ? base : granted, *cluster_, &stats_);
+    for (const Request& request : requests) {
+      refs[state].push_back(ref.Serve(request));
+    }
+  }
+  ASSERT_NE(refs[0][0].ok(), refs[1][0].ok())
+      << "the edited rule must flip a verdict, or the check has no teeth";
+
+  const auto same = [](const Result<Response>& got,
+                       const Result<Response>& want) {
+    if (got.ok() != want.ok()) return false;
+    if (!got.ok()) {
+      return got.status().code() == want.status().code() &&
+             got.status().message() == want.status().message();
+    }
+    return TablesIdentical(got->table, want->table);
+  };
+
+  ServeOptions options;
+  options.max_concurrent = 4;
+  FrontDoor door(fix_.cat, base, *cluster_, &stats_, options);
+  constexpr std::size_t kClients = 4;
+  constexpr std::size_t kEdits = 24;
+  std::atomic<bool> done{false};
+  std::atomic<std::size_t> served{0};
+  std::atomic<std::size_t> wrong{0};
+  std::vector<std::thread> threads;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      for (std::size_t i = c; !done.load(); ++i) {
+        const std::size_t q = i % requests.size();
+        const std::uint64_t before = door.policy_epoch();
+        const Result<Response> got = door.Serve(requests[q]);
+        const std::uint64_t after = door.policy_epoch();
+        bool ok = false;
+        if (got.ok()) {
+          const std::uint64_t epoch = got->policy_epoch;
+          ok = before <= epoch && epoch <= after &&
+               same(got, refs[epoch % 2][q]);
+        } else {
+          for (std::uint64_t e = before; e <= after && !ok; ++e) {
+            ok = same(got, refs[e % 2][q]);
+          }
+        }
+        if (!ok) wrong.fetch_add(1);
+        served.fetch_add(1);
+      }
+    });
+  }
+  std::atomic<std::size_t> failed_edits{0};
+  threads.emplace_back([&] {
+    for (std::size_t k = 0; k < kEdits; ++k) {
+      // Let every client serve between edits, so reads overlap each edit.
+      const std::size_t target = (k + 1) * kClients;
+      while (served.load() < target) std::this_thread::yield();
+      const Result<authz::ClosureDelta> edit =
+          k % 2 == 0 ? door.AddRule(rule) : door.RevokeRule(rule);
+      if (!edit.ok()) failed_edits.fetch_add(1);
+    }
+    done.store(true);
+  });
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_EQ(failed_edits.load(), 0u);
+  EXPECT_EQ(wrong.load(), 0u) << "of " << served.load() << " requests";
+  EXPECT_EQ(door.policy_epoch(), kEdits);
 }
 
 TEST_F(ServingTest, AdvanceEpochNeverRevivesEntriesAcrossAnInterveningEdit) {
