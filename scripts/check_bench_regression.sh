@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI bench smoke gates: the columnar execution engine (E16), the
 # query-profiler overhead budget (E13), morsel-driven parallel
-# execution (E18), the serving front door's caches (E19), and
+# execution (E18), the serving front door's caches and admission (E19), and
 # incremental policy churn (E20).
 #
 # Runs bench_exec_kernels, then compares the freshly measured end-to-end
@@ -179,9 +179,14 @@ fi
 # when any cached answer differs from its cold reference. The committed
 # baseline documents the >=5x E19 claim; CI only enforces half of it
 # (best of three) so loaded runners don't flake while an accidental
-# de-caching still fails loudly.
+# de-caching still fails loudly. The same runs gate admission under
+# contention: 32 clients queueing on 8 slots must keep at least half the
+# 8-client cached qps (best of three) — a scheduler that wakes every
+# waiter on each release collapses far below that.
 SERVE_FLOOR=3.0
+QUEUE_QPS_FLOOR=0.5
 best_speedup=""
+best_qps_ratio=""
 for attempt in 1 2 3; do
   CISQP_BENCH_OUT_DIR="$OUT_DIR" "$SERVE_BENCH" --benchmark_filter='^$' \
       > /dev/null
@@ -193,22 +198,36 @@ if not row["identical"]:
     sys.exit("FAIL: a cached answer differed from its cold reference")
 print(row["speedup"])
 ' "$OUT_DIR/BENCH_serving.json")"
-  echo "1-client cached speedup, attempt $attempt: ${speedup}x"
+  qps_ratio="$(python3 -c '
+import json, sys
+rows = json.load(open(sys.argv[1]))["rows"]
+qps = {r["clients"]: r["qps"] for r in rows if r["mode"] == "cached"}
+print(qps[32] / qps[8])
+' "$OUT_DIR/BENCH_serving.json")"
+  echo "1-client cached speedup, attempt $attempt: ${speedup}x" \
+       "(32/8-client cached qps ratio ${qps_ratio})"
   if [ -z "$best_speedup" ] || \
      python3 -c "import sys; sys.exit(0 if $speedup > $best_speedup else 1)"; then
     best_speedup="$speedup"
   fi
-  if python3 -c "import sys; sys.exit(0 if $best_speedup >= $SERVE_FLOOR else 1)"; then
+  if [ -z "$best_qps_ratio" ] || \
+     python3 -c "import sys; sys.exit(0 if $qps_ratio > $best_qps_ratio else 1)"; then
+    best_qps_ratio="$qps_ratio"
+  fi
+  if python3 -c "import sys; sys.exit(0 if $best_speedup >= $SERVE_FLOOR and $best_qps_ratio >= $QUEUE_QPS_FLOOR else 1)"; then
     break
   fi
 done
 
-python3 - "$best_speedup" bench/baselines/BENCH_serving.json <<'PY'
+python3 - "$best_speedup" "$best_qps_ratio" "$QUEUE_QPS_FLOOR" \
+    bench/baselines/BENCH_serving.json <<'PY'
 import json
 import sys
 
 fresh = float(sys.argv[1])
-base = next(r for r in json.load(open(sys.argv[2]))["rows"]
+qps_ratio = float(sys.argv[2])
+qps_floor = float(sys.argv[3])
+base = next(r for r in json.load(open(sys.argv[4]))["rows"]
             if r["mode"] == "summary")
 floor = base["speedup"] / 2.0
 print(f"fresh serving speedup: {fresh:.2f}x "
@@ -216,7 +235,11 @@ print(f"fresh serving speedup: {fresh:.2f}x "
 if fresh < floor:
     sys.exit(f"FAIL: cached-hit speedup {fresh:.2f}x below the "
              f"{floor:.2f}x floor")
-print("OK: serving cache speedup within the gate")
+print(f"32/8-client cached qps ratio: {qps_ratio:.2f} (floor {qps_floor:.2f})")
+if qps_ratio < qps_floor:
+    sys.exit(f"FAIL: 32-client cached qps fell to {qps_ratio:.2f}x the "
+             f"8-client qps (admission collapse under queueing)")
+print("OK: serving cache speedup and queued throughput within the gate")
 PY
 
 # --- E20: incremental policy churn --------------------------------------

@@ -7,7 +7,6 @@
 
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <vector>
 
 #include "catalog/catalog.hpp"
@@ -18,8 +17,8 @@ namespace cisqp::exec {
 
 class Cluster {
  public:
-  explicit Cluster(const catalog::Catalog& cat)
-      : cat_(cat), tables_(cat.relation_count()), columnar_(cat.relation_count()) {}
+  /// Every relation starts as its empty, correctly-headed table.
+  explicit Cluster(const catalog::Catalog& cat);
 
   const catalog::Catalog& catalog() const noexcept { return cat_; }
 
@@ -27,10 +26,10 @@ class Cluster {
   /// the relation's attributes in declaration order.
   Status LoadTable(catalog::RelationId rel, storage::Table table);
 
-  /// Appends one row to `rel`'s table (creating an empty one on first use).
+  /// Appends one row to `rel`'s table.
   Status InsertRow(catalog::RelationId rel, storage::Row row);
 
-  /// The instance of `rel`; an empty correctly-headed table when never loaded.
+  /// The instance of `rel`; the empty table when never loaded.
   const storage::Table& TableOf(catalog::RelationId rel) const;
 
   /// Columnar form of `rel`'s table, built lazily on first use and shared by
@@ -40,13 +39,12 @@ class Cluster {
 
   /// True iff `rel` currently has at least one row.
   bool HasData(catalog::RelationId rel) const {
-    return rel < tables_.size() && tables_[rel].has_value() &&
-           !tables_[rel]->empty();
+    return rel < tables_.size() && !tables_[rel].empty();
   }
 
  private:
   const catalog::Catalog& cat_;
-  mutable std::vector<std::optional<storage::Table>> tables_;
+  std::vector<storage::Table> tables_;
   /// Lazily-built columnar views of tables_, guarded for the parallel plan
   /// search which evaluates candidate plans from worker threads. The mutex
   /// lives behind a pointer so Cluster stays movable.

@@ -27,10 +27,10 @@ struct Located {
 
 /// Process-shared worker pools, one per requested thread count, built on
 /// first use and reused for the life of the process. Executions that ask
-/// for `threads` parallelism without supplying ExecutionOptions::pool all
-/// share one pool here instead of spawning (and joining) a private pool per
-/// query — under a concurrent serving workload the per-query spawn cost and
-/// the thread-count blow-up (N requests × M workers) were both bugs.
+/// for `threads` parallelism all share one pool here instead of spawning
+/// (and joining) a private pool per query — under a concurrent serving
+/// workload the per-query spawn cost and the thread-count blow-up
+/// (N requests × M workers) were both bugs.
 /// ThreadPool is thread-safe for concurrent ParallelFor callers: each call
 /// enqueues its own tasks and blocks on its own completion latch.
 ThreadPool& SharedQueryPool(std::size_t threads) {
@@ -58,16 +58,14 @@ class Run {
         assignment_(std::move(assignment)), options_(options),
         profile_(options.profile),
         profiles_(planner::ComputeNodeProfiles(cluster.catalog(), plan)) {
-    // Resolve the kernel parallelism once per execution: an explicit shared
-    // pool wins, otherwise threads>1 borrows the process-shared pool for
-    // that thread count — never a private pool per query (concurrent
-    // requests would each respawn workers; see SharedQueryPool above).
-    // threads=1 leaves ctx_.pool null — the kernels' exact sequential path.
+    // Resolve the kernel parallelism once per execution: threads>1 borrows
+    // the process-shared pool for that thread count — never a private pool
+    // per query (concurrent requests would each respawn workers; see
+    // SharedQueryPool above). threads=1 leaves ctx_.pool null — the
+    // kernels' exact sequential path.
     ctx_ = options.morsel;
-    ctx_.pool = options.pool;
-    if (ctx_.pool == nullptr && options.threads > 1) {
-      ctx_.pool = &SharedQueryPool(options.threads);
-    }
+    ctx_.pool = options.threads > 1 ? &SharedQueryPool(options.threads)
+                                    : nullptr;
   }
 
   Result<ExecutionResult> Execute(const plan::PlanNode& root) {

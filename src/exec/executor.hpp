@@ -88,16 +88,13 @@ struct ExecutionOptions {
   /// Intra-operator parallelism for the vectorized kernels (DESIGN.md §14):
   /// target thread count including the caller. 1 — the default — runs the
   /// exact sequential kernel paths; >1 borrows the process-shared pool for
-  /// that thread count (unless `pool` below is set) and fans operators out
-  /// in morsels — concurrent queries share the workers rather than each
-  /// spawning their own. Results are byte-identical at any thread count.
+  /// that thread count and fans operators out in morsels — concurrent
+  /// queries share the workers rather than each spawning their own. Results
+  /// are byte-identical at any thread count.
   std::size_t threads = 1;
-  /// Shared worker pool to use instead of spawning one per execution (e.g.
-  /// the benches' long-lived pool). Overrides `threads`.
-  ThreadPool* pool = nullptr;
   /// Kernel tiling knobs (morsel_rows, radix_bits, min_parallel_rows). The
   /// pool field inside is ignored — the executor installs the pool resolved
-  /// from `pool`/`threads` above.
+  /// from `threads` above.
   algebra::MorselContext morsel;
 };
 

@@ -14,85 +14,79 @@ AdmissionController::AdmissionController(std::size_t max_concurrent,
       max_queue_(max_queue),
       max_wait_us_(max_wait_us) {}
 
-void AdmissionController::SkipAbandoned() {
-  while (abandoned_.erase(now_serving_) > 0) ++now_serving_;
+void AdmissionController::Unlink(Waiter* waiter) {
+  Waiter** link = &head_;
+  while (*link != waiter) link = &(*link)->next;
+  *link = waiter->next;
+  if (tail_ == &waiter->next) tail_ = link;
+  --queued_;
+  CISQP_METRIC_SET("serve.queued", static_cast<double>(queued_));
 }
 
 Result<AdmissionController::Ticket> AdmissionController::Admit(
     std::int64_t* queue_wait_us) {
   std::unique_lock<std::mutex> lock(mu_);
-  const bool must_wait = running_ >= max_concurrent_ || queued_ > 0;
-  if (must_wait && queued_ >= max_queue_) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    CISQP_METRIC_INC("serve.rejected");
-    return ResourceExhaustedError(
-        "admission queue full (" + std::to_string(queued_) + " waiting, " +
-        std::to_string(running_) + " running)");
-  }
-  const std::uint64_t seq = next_ticket_++;
   std::int64_t waited_us = 0;
-  if (must_wait) {
+  if (running_ < max_concurrent_ && head_ == nullptr) {
+    ++running_;
+  } else {
+    if (queued_ >= max_queue_) {
+      rejected_.fetch_add(1, std::memory_order_relaxed);
+      CISQP_METRIC_INC("serve.rejected");
+      return ResourceExhaustedError(
+          "admission queue full (" + std::to_string(queued_) + " waiting, " +
+          std::to_string(running_) + " running)");
+    }
+    Waiter self;
+    *tail_ = &self;
+    tail_ = &self.next;
     ++queued_;
     CISQP_METRIC_SET("serve.queued", static_cast<double>(queued_));
     const std::int64_t start = obs::NowMicros();
-    const auto ready = [&] {
-      return seq == now_serving_ && running_ < max_concurrent_;
-    };
-    bool admitted = true;
+    const auto granted = [&] { return self.granted; };
     if (max_wait_us_ > 0) {
-      admitted = cv_.wait_until(lock,
-                                std::chrono::steady_clock::now() +
-                                    std::chrono::microseconds(max_wait_us_),
-                                ready);
+      self.cv.wait_until(lock,
+                         std::chrono::steady_clock::now() +
+                             std::chrono::microseconds(max_wait_us_),
+                         granted);
     } else {
-      cv_.wait(lock, ready);
+      self.cv.wait(lock, granted);
     }
     waited_us = obs::NowMicros() - start;
-    --queued_;
-    CISQP_METRIC_SET("serve.queued", static_cast<double>(queued_));
-    if (!admitted) {
-      // Deadline passed while queued. Hand the FIFO position back: at the
-      // head, step now_serving_ past this ticket (and any previously
-      // abandoned successors) on the spot; otherwise leave a marker the
-      // hand-off skips when it gets there. Either way the waiters behind
-      // this ticket are never wedged by the timeout.
-      if (seq == now_serving_) {
-        ++now_serving_;
-        SkipAbandoned();
-      } else {
-        abandoned_.insert(seq);
-      }
+    if (!self.granted) {
+      // Deadline passed while still queued: leave the line.
+      Unlink(&self);
       rejected_.fetch_add(1, std::memory_order_relaxed);
       CISQP_METRIC_INC("serve.rejected");
-      lock.unlock();
-      cv_.notify_all();
       return ResourceExhaustedError(
           "admission wait exceeded max_wait_us=" +
           std::to_string(max_wait_us_) + " (" + std::to_string(waited_us) +
           "us queued)");
     }
+    // Granted: ReleaseSlot unlinked this node and moved its slot here.
   }
-  ++now_serving_;
-  SkipAbandoned();
-  ++running_;
   admitted_.fetch_add(1, std::memory_order_relaxed);
   CISQP_METRIC_INC("serve.admitted");
   CISQP_METRIC_SET("serve.running", static_cast<double>(running_));
   lock.unlock();
-  // FIFO hand-off: the successor's seq just became now_serving_; it may be
-  // admissible already when slots remain.
-  cv_.notify_all();
   if (queue_wait_us != nullptr) *queue_wait_us = waited_us;
   return Ticket(this);
 }
 
 void AdmissionController::ReleaseSlot() {
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
+  const std::lock_guard<std::mutex> lock(mu_);
+  Waiter* const next = head_;
+  if (next == nullptr) {
     --running_;
     CISQP_METRIC_SET("serve.running", static_cast<double>(running_));
+    return;
   }
-  cv_.notify_all();
+  // Direct hand-off: the slot moves to the head waiter, running_ unchanged.
+  // Notify before unlocking — the node lives on the waiter's stack, and once
+  // mu_ is free the waiter may return and destroy it.
+  Unlink(next);
+  next->granted = true;
+  next->cv.notify_one();
 }
 
 void AdmissionController::Ticket::Release() {

@@ -6,25 +6,22 @@
 // task queue: at most `max_concurrent` requests execute at once, at most
 // `max_queue` more wait their turn, and anything beyond that is rejected
 // immediately with kResourceExhausted (fail fast beats unbounded queueing;
-// the caller can retry with backoff). Waiters are admitted in FIFO order
-// via ticket numbers, so no request starves under sustained load.
+// the caller can retry with backoff).
 //
-// An optional `max_wait_us` deadline bounds the queueing itself: a waiter
-// whose turn has not come by the deadline gives up with a typed
-// kResourceExhausted instead of blocking forever behind a ticket holder
-// that never releases. An abandoned ticket's sequence number is recorded
-// (or, at the queue head, skipped on the spot) so the FIFO hand-off walks
-// past it — a timeout never wedges the waiters behind it.
+// Waiters queue FIFO as nodes on their own stacks, each with its own
+// condition variable; a release hands its slot straight to the head waiter
+// and wakes only that thread. With a nonzero `max_wait_us`, a waiter still
+// queued at its deadline unlinks its own node and fails with a typed
+// kResourceExhausted; one granted as its deadline passed keeps the slot.
 //
-// The controller publishes its state as metrics: serve.admitted /
-// serve.rejected counters and serve.running / serve.queued gauges.
+// Metrics: serve.admitted / serve.rejected counters and serve.running /
+// serve.queued gauges.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
-#include <set>
 
 #include "common/status.hpp"
 
@@ -37,7 +34,8 @@ class AdmissionController {
   AdmissionController(std::size_t max_concurrent, std::size_t max_queue,
                       std::int64_t max_wait_us = 0);
 
-  /// RAII admission slot: releasing it (destruction) wakes the next waiter.
+  /// RAII admission slot: releasing it (destruction) hands the slot to the
+  /// next waiter, if any.
   class Ticket {
    public:
     Ticket() = default;
@@ -80,22 +78,27 @@ class AdmissionController {
 
  private:
   friend class Ticket;
+
+  /// One queued Admit call; lives on that call's stack.
+  struct Waiter {
+    std::condition_variable cv;
+    bool granted = false;  ///< set by ReleaseSlot when it hands over a slot
+    Waiter* next = nullptr;
+  };
+
   void ReleaseSlot();
 
-  /// With mu_ held: advances now_serving_ past consecutively abandoned
-  /// sequence numbers so the FIFO order skips timed-out waiters.
-  void SkipAbandoned();
+  /// With mu_ held: removes `waiter` from the list.
+  void Unlink(Waiter* waiter);
 
   const std::size_t max_concurrent_;
   const std::size_t max_queue_;
   const std::int64_t max_wait_us_;  ///< 0 = unbounded queueing
   mutable std::mutex mu_;
-  std::condition_variable cv_;
   std::size_t running_ = 0;
-  std::size_t queued_ = 0;
-  std::uint64_t next_ticket_ = 0;   ///< next sequence number to hand out
-  std::uint64_t now_serving_ = 0;   ///< lowest not-yet-admitted sequence
-  std::set<std::uint64_t> abandoned_;  ///< timed-out, not yet skipped
+  std::size_t queued_ = 0;     ///< length of the waiter list
+  Waiter* head_ = nullptr;     ///< next waiter to be granted a slot
+  Waiter** tail_ = &head_;     ///< the list's last `next` link
   std::atomic<std::uint64_t> admitted_{0};
   std::atomic<std::uint64_t> rejected_{0};
 };

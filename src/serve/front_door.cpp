@@ -42,14 +42,7 @@ FrontDoor::FrontDoor(const catalog::Catalog& cat,
                  options.admission_max_wait_us),
       plan_cache_(options.plan_cache_capacity),
       closure_(Close(cat, auths, options.chase)),
-      state_(std::make_shared<const EpochState>(0, closure_.closed(), cat)) {
-  // Cluster::TableOf materializes a relation's empty table lazily and
-  // without synchronization; touch every relation now, before concurrent
-  // requests exist, so the serving path only ever reads.
-  for (std::size_t rel = 0; rel < cat_.relation_count(); ++rel) {
-    (void)cluster_.TableOf(static_cast<catalog::RelationId>(rel));
-  }
-}
+      state_(std::make_shared<const EpochState>(0, closure_.closed(), cat)) {}
 
 std::shared_ptr<const FrontDoor::EpochState> FrontDoor::State() const {
   const std::lock_guard<std::mutex> lock(state_mu_);
@@ -93,9 +86,7 @@ Result<Response> FrontDoor::Serve(const Request& request) {
   // specs, so the first sighting of a spelling parses and memoizes).
   std::optional<std::string> memo_sig = CachedSignature(request.sql);
   std::optional<plan::QuerySpec> spec;
-  if (memo_sig.has_value()) {
-    out.signature = std::move(*memo_sig);
-  } else {
+  const auto parse = [&]() -> Status {
     const std::int64_t parse_start = obs::NowMicros();
     Result<plan::QuerySpec> parsed = [&] {
       const obs::Span parse_span("serve.parse", span);
@@ -103,9 +94,15 @@ Result<Response> FrontDoor::Serve(const Request& request) {
     }();
     if (!parsed.ok()) return parsed.status();
     out.parse_us = obs::NowMicros() - parse_start;
-    out.signature = sql::CanonicalQuerySignature(*parsed);
-    MemoizeSignature(request.sql, out.signature);
     spec = std::move(*parsed);
+    return Status::Ok();
+  };
+  if (memo_sig.has_value()) {
+    out.signature = std::move(*memo_sig);
+  } else {
+    CISQP_RETURN_IF_ERROR(parse());
+    out.signature = sql::CanonicalQuerySignature(*spec);
+    MemoizeSignature(request.sql, out.signature);
   }
 
   // Feasibility depends on who receives the result, so the requestor is
@@ -122,17 +119,8 @@ Result<Response> FrontDoor::Serve(const Request& request) {
   std::optional<CachedPlanEntry> entry = plan_cache_.Lookup(key, state->epoch);
   out.plan_cache_hit = entry.has_value();
   if (!entry.has_value()) {
-    if (!spec.has_value()) {
-      // Memoized spelling but no live plan for this epoch — parse after all.
-      const std::int64_t parse_start = obs::NowMicros();
-      Result<plan::QuerySpec> parsed = [&] {
-        const obs::Span parse_span("serve.parse", span);
-        return sql::ParseAndBind(cat_, request.sql);
-      }();
-      if (!parsed.ok()) return parsed.status();
-      out.parse_us = obs::NowMicros() - parse_start;
-      spec = std::move(*parsed);
-    }
+    // Memoized spelling but no live plan for this epoch — parse after all.
+    if (!spec.has_value()) CISQP_RETURN_IF_ERROR(parse());
     obs::Span plan_span("serve.plan", span);
     plan_span.AddAttribute("cached", "false");
     planner::FeasiblePlanSearch search(cat_, state->memo, stats_, nullptr);
@@ -175,7 +163,6 @@ Result<Response> FrontDoor::Serve(const Request& request) {
       request.enforce_releases.value_or(options_.enforce_releases);
   eopt.requestor = request.requestor;
   eopt.profile = request.profile;
-  eopt.pool = options_.exec_pool;
   eopt.threads = options_.exec_threads;
   eopt.morsel = options_.morsel;
   const exec::DistributedExecutor executor(cluster_, state->memo);

@@ -30,10 +30,10 @@
 // lock only; readers wait at most for the publish step that swaps the
 // epoch's snapshot.
 //
-// Execution runs on a shared worker pool (ServeOptions::exec_pool /
-// exec_threads) with per-request ExecutionOptions; requests never share
-// mutable state except the thread-safe caches, the cluster's read path, and
-// the pool.
+// Execution runs with per-request ExecutionOptions on the executor's
+// process-shared worker pool for ServeOptions::exec_threads; requests never
+// share mutable state except the thread-safe caches, the cluster's read
+// path, and the pool.
 #pragma once
 
 #include <atomic>
@@ -76,10 +76,8 @@ struct ServeOptions {
 
   // Per-request execution defaults.
   bool enforce_releases = true;
-  /// Kernel parallelism for execution: a shared pool (preferred under
-  /// concurrency — one pool for the whole front door) or a thread count
-  /// resolved through the executor's process-shared pool. 1 = sequential.
-  ThreadPool* exec_pool = nullptr;
+  /// Kernel parallelism for execution: a thread count resolved through the
+  /// executor's process-shared pool. 1 = sequential.
   std::size_t exec_threads = 1;
   algebra::MorselContext morsel;
 };

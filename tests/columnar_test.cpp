@@ -5,15 +5,20 @@
 // every input, including the corners the sweep fixed bugs around: NULL join
 // keys, duplicate projection attributes, empty inputs, and distinct chained
 // after project. Randomized tables drive both engines through the
-// compatibility operator API and through the batch API directly.
+// compatibility operator API and through the batch API directly. The
+// cluster's shared columnar cache is also checked under concurrent first
+// touch (runs under TSan in CI).
 #include <gtest/gtest.h>
 
+#include <barrier>
 #include <memory>
 #include <random>
+#include <thread>
 
 #include "algebra/operators.hpp"
 #include "algebra/vectorized.hpp"
 #include "common/strings.hpp"
+#include "exec/cluster.hpp"
 #include "storage/column.hpp"
 #include "test_util.hpp"
 #include "testcheck/row_kernels.hpp"
@@ -639,6 +644,42 @@ TEST(MorselParityTest, JoinStatsCountHashesMorselsAndPartitions) {
   EXPECT_EQ(par.hash_build_rows, seq.hash_build_rows);
   EXPECT_EQ(par.hash_probe_rows, seq.hash_probe_rows);
   EXPECT_EQ(par.hash_matches, seq.hash_matches);
+}
+
+TEST(ClusterColumnarTest, ConcurrentFirstTouchOfUnloadedRelationsIsShared) {
+  // A fresh cluster holds each relation's empty table from construction, so
+  // threads racing to build the columnar form of a never-loaded relation
+  // only read the row table and all receive the one cached conversion.
+  const catalog::Catalog cat = workload::MedicalScenario::BuildCatalog();
+  const exec::Cluster cluster(cat);
+  constexpr std::size_t kThreads = 8;
+  const std::size_t relations = cat.relation_count();
+  std::vector<std::vector<std::shared_ptr<const ColumnarTable>>> seen(
+      kThreads, std::vector<std::shared_ptr<const ColumnarTable>>(relations));
+  std::barrier start(static_cast<std::ptrdiff_t>(kThreads));
+  {
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        start.arrive_and_wait();
+        for (std::size_t rel = 0; rel < relations; ++rel) {
+          seen[t][rel] =
+              cluster.ColumnarOf(static_cast<catalog::RelationId>(rel));
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+  }
+  for (std::size_t rel = 0; rel < relations; ++rel) {
+    const auto id = static_cast<catalog::RelationId>(rel);
+    ASSERT_NE(seen[0][rel], nullptr);
+    EXPECT_TRUE(seen[0][rel]->empty());
+    EXPECT_EQ(seen[0][rel]->columns(), Table::ForRelation(cat, id).columns());
+    EXPECT_FALSE(cluster.HasData(id));
+    for (std::size_t t = 1; t < kThreads; ++t) {
+      EXPECT_EQ(seen[t][rel], seen[0][rel]) << "relation " << rel;
+    }
+  }
 }
 
 }  // namespace

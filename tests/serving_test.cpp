@@ -669,5 +669,53 @@ TEST_F(ServingTest, AdmissionServesWaitersInFifoOrder) {
   }
 }
 
+TEST_F(ServingTest, AdmissionHandOffRacingDeadlinesNeverLosesOrLeaksSlots) {
+  // Deadlines of a few microseconds race the direct hand-off: a release can
+  // grant a waiter whose deadline is just passing, and timed-out waiters
+  // unlink themselves from anywhere in the list. At most max_concurrent
+  // holders may ever overlap, and every call ends admitted or rejected
+  // with no slot lost or leaked.
+  constexpr std::size_t kMaxConcurrent = 2;
+  constexpr std::size_t kThreads = 16;
+  constexpr std::size_t kCallsPerThread = 1000;
+  AdmissionController admission(kMaxConcurrent, /*max_queue=*/64,
+                                /*max_wait_us=*/5);
+  std::atomic<std::size_t> in_flight{0};
+  std::atomic<bool> overlapped{false};
+  {
+    std::vector<std::thread> clients;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      clients.emplace_back([&] {
+        for (std::size_t i = 0; i < kCallsPerThread; ++i) {
+          const Result<AdmissionController::Ticket> ticket = admission.Admit();
+          if (!ticket.ok()) {
+            EXPECT_EQ(ticket.status().code(), StatusCode::kResourceExhausted);
+            continue;
+          }
+          if (in_flight.fetch_add(1) + 1 > kMaxConcurrent) overlapped = true;
+          std::this_thread::yield();
+          in_flight.fetch_sub(1);
+        }
+      });
+    }
+    for (std::thread& t : clients) t.join();
+  }
+  EXPECT_FALSE(overlapped) << "more than max_concurrent holders at once";
+  EXPECT_EQ(admission.running(), 0u);
+  EXPECT_EQ(admission.queued(), 0u);
+  EXPECT_EQ(admission.admitted() + admission.rejected(),
+            kThreads * kCallsPerThread);
+  EXPECT_GT(admission.rejected(), 0u) << "no deadline ever passed";
+
+  // Nothing leaked: a fresh request takes a free slot without queueing.
+  std::int64_t waited_us = -1;
+  ASSERT_OK_AND_ASSIGN(AdmissionController::Ticket fresh,
+                       admission.Admit(&waited_us));
+  (void)fresh;
+  EXPECT_EQ(waited_us, 0);
+  EXPECT_EQ(admission.running(), 1u);
+  EXPECT_EQ(admission.queued(), 0u);
+}
+
 }  // namespace
 }  // namespace cisqp::serve
