@@ -4,20 +4,37 @@
 // materialized.
 #include "bench_util.hpp"
 
+#include <algorithm>
+
 #include "authz/chase.hpp"
 #include "workload/generator.hpp"
 
 namespace cisqp::bench {
 namespace {
 
+/// Median wall time of one ChaseClosure call over five runs.
+std::int64_t MedianChaseMicros(const catalog::Catalog& cat,
+                               const authz::AuthorizationSet& auths,
+                               const authz::ChaseOptions& options) {
+  std::vector<std::int64_t> runs;
+  for (int r = 0; r < 5; ++r) {
+    const std::int64_t start = obs::NowMicros();
+    benchmark::DoNotOptimize(authz::ChaseClosure(cat, auths, options));
+    runs.push_back(obs::NowMicros() - start);
+  }
+  std::sort(runs.begin(), runs.end());
+  return runs[runs.size() / 2];
+}
+
 void PrintChaseTable() {
   PrintHeader("E8 / §3.2 chase closure",
               "closure growth: input rules -> derived rules, fixpoint rounds "
               "and combination work, as grants per server increase");
   Artifact artifact("chase", "E8 / §3.2 chase closure",
-                    "closure growth vs grants per server");
-  std::printf("%-14s %-12s %-12s %-12s %-14s\n", "grants/server", "input",
-              "closed", "rounds", "pairs_tried");
+                    "closure growth vs grants per server; chase_us is the "
+                    "median of five closures");
+  std::printf("%-14s %-12s %-12s %-12s %-14s %-10s\n", "grants/server",
+              "input", "closed", "rounds", "pairs_tried", "chase_us");
   for (const std::size_t grants : {0u, 1u, 2u, 4u, 8u}) {
     Rng rng(8800 + grants);
     workload::FederationConfig fed_config;
@@ -37,14 +54,17 @@ void PrintChaseTable() {
     authz::ChaseStats stats;
     const auto closed =
         Unwrap(authz::ChaseClosure(fed.catalog, auths, options, &stats), "chase");
-    std::printf("%-14zu %-12zu %-12zu %-12zu %-14zu\n", grants, auths.size(),
-                closed.size(), stats.iterations, stats.pairs_considered);
+    const std::int64_t chase_us = MedianChaseMicros(fed.catalog, auths, options);
+    std::printf("%-14zu %-12zu %-12zu %-12zu %-14zu %-10lld\n", grants,
+                auths.size(), closed.size(), stats.iterations,
+                stats.pairs_considered, static_cast<long long>(chase_us));
     artifact.Row()
         .Value("grants_per_server", grants)
         .Value("input_rules", auths.size())
         .Value("closed_rules", closed.size())
         .Value("rounds", stats.iterations)
         .Value("pairs_tried", stats.pairs_considered)
+        .Value("chase_us", chase_us)
         .Value("threads", ResolveThreads(options.threads));
   }
   artifact.Write();

@@ -257,12 +257,14 @@ void PrintPolicyChurn() {
   all_identical = all_identical && disjoint.identical;
   const std::uint64_t retained = disjoint_door.Stats().plan_cache_retained;
 
-  // Contrast: an Insurance grant overlaps the cached shapes, so the first
-  // post-edit pass correctly pays one cold planning per shape.
+  // Contrast: an Insurance grant that changes S_D's closure overlaps the
+  // cached shapes, so the first post-edit pass correctly pays one cold
+  // planning per Insurance shape. (A grant the closure already subsumes,
+  // such as S_N seeing Holder, changes nothing and evicts nothing.)
   serve::FrontDoor overlap_door = world.MakeDoor();
   Warm(overlap_door, shapes);
   UnwrapStatus(
-      overlap_door.AddRule(Rule(world.cat, "S_N", {"Holder"})).status(),
+      overlap_door.AddRule(Rule(world.cat, "S_D", {"Holder"})).status(),
       "overlap grant");
   const RetentionResult overlap =
       ServeRounds(overlap_door, shapes, references, kRounds);

@@ -5,15 +5,20 @@
 // google-benchmark timings for the operations involved. Alongside the
 // printed table each experiment also records its series into an `Artifact`,
 // which lands as machine-readable BENCH_<name>.json (in $CISQP_BENCH_OUT_DIR
-// when set, else the working directory) — scripts/run_experiments.sh
-// collects these for downstream plotting.
+// when set, else the working directory; a bench that cannot write it exits
+// non-zero) — scripts/run_experiments.sh collects these for downstream
+// plotting.
 #pragma once
 
 #include <benchmark/benchmark.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <filesystem>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -146,26 +151,33 @@ class Artifact {
     return out;
   }
 
-  /// Writes BENCH_<name>.json into $CISQP_BENCH_OUT_DIR (or the working
-  /// directory) and reports the path on stdout.
+  /// Writes BENCH_<name>.json into $CISQP_BENCH_OUT_DIR (created when
+  /// missing) or the working directory, and reports the path on stdout. A
+  /// bench whose artifact cannot be written exits with status 1.
   void Write() const {
     const char* dir = std::getenv("CISQP_BENCH_OUT_DIR");
-    const std::string path = (dir != nullptr && *dir != '\0')
-                                 ? std::string(dir) + "/BENCH_" + name_ + ".json"
-                                 : "BENCH_" + name_ + ".json";
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", path.c_str());
-      return;
+    std::string path = "BENCH_" + name_ + ".json";
+    if (dir != nullptr && *dir != '\0') {
+      std::error_code ec;
+      std::filesystem::create_directories(dir, ec);
+      if (ec) Fail(dir, ec.message());
+      path = std::string(dir) + "/" + path;
     }
-    const std::string json = ToJson();
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    if (f == nullptr) Fail(path, std::strerror(errno));
+    const std::string json = ToJson() + "\n";
+    const bool written = std::fwrite(json.data(), 1, json.size(), f) == json.size();
+    if (std::fclose(f) != 0 || !written) Fail(path, "write failed");
     std::printf("artifact: %s (%zu row(s))\n", path.c_str(), rows_.size());
   }
 
  private:
+  [[noreturn]] static void Fail(const std::string& path,
+                                const std::string& why) {
+    std::fprintf(stderr, "cannot write %s: %s\n", path.c_str(), why.c_str());
+    std::exit(EXIT_FAILURE);
+  }
+
   Artifact& Cell(std::string_view key, std::string rendered) {
     if (rows_.empty()) rows_.emplace_back();
     rows_.back().emplace_back(std::string(key), std::move(rendered));

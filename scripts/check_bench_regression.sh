@@ -25,21 +25,27 @@
 # >=4 hardware threads — a single-core runner can prove determinism but
 # not scaling, and the artifact records hw_threads so that skip is visible.
 #
+# Every section runs even when an earlier one fails; the script lists the
+# failed sections at the end and exits 1 if there are any.
+#
 #   scripts/check_bench_regression.sh [build-dir]
-set -euo pipefail
+set -uo pipefail
 
 BUILD_DIR="${1:-build}"
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$ROOT"
 
+OUT_DIR="$(mktemp -d)"
+trap 'rm -rf "$OUT_DIR"' EXIT
+
+# --- E16: columnar engine vs the row kernels ---------------------------------
+check_e16() {
 BENCH="$BUILD_DIR/bench/bench_exec_kernels"
 if [ ! -x "$BENCH" ]; then
   echo "error: $BENCH not built" >&2
   exit 1
 fi
 
-OUT_DIR="$(mktemp -d)"
-trap 'rm -rf "$OUT_DIR"' EXIT
 # --benchmark_filter matching nothing skips the google-benchmark loops; the
 # E16 kernel table (and its artifact) is printed unconditionally by main().
 CISQP_BENCH_OUT_DIR="$OUT_DIR" "$BENCH" --benchmark_filter='^$'
@@ -65,8 +71,10 @@ if fresh["speedup"] < floor:
              f"against the committed baseline {baseline['speedup']:.2f}x")
 print("OK: columnar engine within 2x of the committed baseline")
 PY
+}
 
 # --- E13: profiler overhead budget -----------------------------------------
+check_e13() {
 OBS_BENCH="$BUILD_DIR/bench/bench_obs_overhead"
 if [ ! -x "$OBS_BENCH" ]; then
   echo "error: $OBS_BENCH not built" >&2
@@ -100,8 +108,10 @@ else
   echo "FAIL: profiler overhead ${best_pct}% exceeds the ${PROFILER_BUDGET_PCT}% budget" >&2
   exit 1
 fi
+}
 
 # --- E18: morsel-driven parallel execution ----------------------------------
+check_e18() {
 THREADS_BENCH="$BUILD_DIR/bench/bench_exec_threads"
 if [ ! -x "$THREADS_BENCH" ]; then
   echo "error: $THREADS_BENCH not built" >&2
@@ -167,8 +177,10 @@ if fresh["speedup"] < floor:
              f"{floor:.2f}x floor")
 print("OK: morsel-parallel speedup within the gate")
 PY
+}
 
 # --- E19: multi-query serving front door --------------------------------
+check_e19() {
 SERVE_BENCH="$BUILD_DIR/bench/bench_serving"
 if [ ! -x "$SERVE_BENCH" ]; then
   echo "error: $SERVE_BENCH not built" >&2
@@ -241,8 +253,10 @@ if qps_ratio < qps_floor:
              f"8-client qps (admission collapse under queueing)")
 print("OK: serving cache speedup and queued throughput within the gate")
 PY
+}
 
 # --- E20: incremental policy churn --------------------------------------
+check_e20() {
 CHURN_BENCH="$BUILD_DIR/bench/bench_policy_churn"
 if [ ! -x "$CHURN_BENCH" ]; then
   echo "error: $CHURN_BENCH not built" >&2
@@ -309,3 +323,22 @@ if delta_pts > 5.0:
 print(f"OK: incremental churn within the gate "
       f"(hit-rate delta {delta_pts:.1f} pts)")
 PY
+}
+
+# Each section runs in a subshell under `set -e`, so its first failing
+# command (or `exit 1`) ends that section only.
+failed=()
+for section in e16 e13 e18 e19 e20; do
+  ( set -e; "check_$section" )
+  status=$?
+  if [ "$status" -ne 0 ]; then
+    echo "FAIL: ${section^^} gate (exit $status)" >&2
+    failed+=("${section^^}")
+  fi
+done
+
+if [ "${#failed[@]}" -ne 0 ]; then
+  echo "bench gates failed: ${failed[*]}" >&2
+  exit 1
+fi
+echo "all bench gates passed"

@@ -105,6 +105,19 @@ Status AuthorizationSet::Remove(const catalog::Catalog& cat,
                        auth.ToString(cat));
 }
 
+void AuthorizationSet::ReplaceServer(catalog::ServerId server,
+                                     AuthorizationSet&& from) {
+  PathIndex incoming;
+  if (server < from.by_server_.size()) {
+    incoming = std::move(from.by_server_[server]);
+  }
+  from = AuthorizationSet{};
+  if (by_server_.size() <= server) by_server_.resize(server + 1);
+  for (const auto& [path, grants] : by_server_[server]) total_ -= grants.size();
+  for (const auto& [path, grants] : incoming) total_ += grants.size();
+  by_server_[server] = std::move(incoming);
+}
+
 bool AuthorizationSet::CanView(const Profile& profile,
                                catalog::ServerId server) const {
   if (server >= by_server_.size()) return false;

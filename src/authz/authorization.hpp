@@ -59,6 +59,11 @@ class AuthorizationSet : public Policy {
   /// no such rule is present.
   Status Remove(const catalog::Catalog& cat, const Authorization& auth);
 
+  /// Replaces every rule granted to `server` with the rules `from` grants
+  /// it (already validated by `from`'s Add). Other servers' rules are
+  /// untouched; `from` is left empty.
+  void ReplaceServer(catalog::ServerId server, AuthorizationSet&& from);
+
   /// Def. 3.3: true iff some authorization of `server` covers `profile`.
   bool CanView(const Profile& profile,
                catalog::ServerId server) const override;

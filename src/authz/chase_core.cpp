@@ -5,6 +5,38 @@
 
 namespace cisqp::authz::chase_internal {
 
+namespace {
+
+/// |Pi ∪ Pj| for pool rules i and j: a popcount of the path masks, or a
+/// counting merge of the sorted atoms when either path has an atom the
+/// masks cannot hold.
+std::size_t UnionAtoms(const RulePool& pool, std::size_t i, std::size_t j) {
+  const RulePool::Rule& a = pool.rule(i);
+  const RulePool::Rule& b = pool.rule(j);
+  if (a.non_edge_atoms == 0 && b.non_edge_atoms == 0) {
+    return EdgeBits::UnionCount(pool.path_bits(i), pool.path_bits(j));
+  }
+  const std::vector<JoinAtom>& x = a.path.atoms();
+  const std::vector<JoinAtom>& y = b.path.atoms();
+  std::size_t count = 0;
+  std::size_t p = 0;
+  std::size_t q = 0;
+  while (p < x.size() && q < y.size()) {
+    if (x[p] < y[q]) {
+      ++p;
+    } else if (y[q] < x[p]) {
+      ++q;
+    } else {
+      ++p;
+      ++q;
+    }
+    ++count;
+  }
+  return count + (x.size() - p) + (y.size() - q);
+}
+
+}  // namespace
+
 Status ExceededCap(const ChaseOptions& options) {
   return ResourceExhaustedError("chase closure exceeded max_derived_rules=" +
                                 std::to_string(options.max_derived_rules));
@@ -14,6 +46,7 @@ Status RunSemiNaive(const catalog::Catalog& cat, const EdgeIndex& index,
                     RulePool& pool, std::size_t delta_begin,
                     catalog::ServerId server, const ChaseOptions& options,
                     ChaseStats& stats) {
+  const std::size_t cap = options.max_path_atoms;
   std::vector<std::pair<IdSet, JoinPath>> pending;
   while (delta_begin < pool.size()) {
     ++stats.iterations;
@@ -25,12 +58,32 @@ Status RunSemiNaive(const catalog::Catalog& cat, const EdgeIndex& index,
     pending.clear();
     for (std::size_t j = delta_begin; j < frozen; ++j) {
       const RulePool::Rule& rule_j = pool.rule(j);
+      const EdgeBits left_j = pool.left(j);
+      const EdgeBits right_j = pool.right(j);
       for (std::size_t i = 0; i < j; ++i) {
         const RulePool::Rule& rule_i = pool.rule(i);
+        const EdgeBits left_i = pool.left(i);
+        const EdgeBits right_i = pool.right(i);
+        // The path-cap verdict for the whole pair, before building anything.
+        bool at_cap = false;
+        if (cap != 0) {
+          const std::size_t union_atoms = UnionAtoms(pool, i, j);
+          if (union_atoms > cap) {
+            stats.pairs_considered +=
+                EdgeBits::CountJoinable(left_i, right_i, left_j, right_j);
+            continue;
+          }
+          at_cap = union_atoms == cap;
+        }
         EdgeBits::ForEachJoinable(
-            rule_i.left, rule_i.right, rule_j.left, rule_j.right,
-            [&](std::size_t e) {
+            left_i, right_i, left_j, right_j, [&](std::size_t e) {
               ++stats.pairs_considered;
+              // At the cap only an edge already in the union keeps the
+              // derived path within it.
+              if (at_cap && !pool.path_bits(i).Test(e) &&
+                  !pool.path_bits(j).Test(e)) {
+                return;
+              }
               // One endpoint is visible through rule i, the other through
               // rule j: the server can join the two authorized views locally
               // on attributes it already sees. The derived rule is symmetric
@@ -38,10 +91,7 @@ Status RunSemiNaive(const catalog::Catalog& cat, const EdgeIndex& index,
               const catalog::JoinEdge& edge = index.edge(e);
               JoinPath derived_path = JoinPath::Union(rule_i.path, rule_j.path);
               derived_path.Insert(JoinAtom::Make(edge.left, edge.right));
-              if (options.max_path_atoms != 0 &&
-                  derived_path.size() > options.max_path_atoms) {
-                return;
-              }
+              if (cap != 0 && derived_path.size() > cap) return;
               pending.emplace_back(IdSet::Union(rule_i.attrs, rule_j.attrs),
                                    std::move(derived_path));
             });

@@ -93,7 +93,10 @@ Status IncrementalClosure::ChaseAll() {
   CISQP_METRIC_ADD("chase.pairs_considered", total.pairs_considered);
   span.AddAttribute("derived_rules", total.derived_rules);
   span.AddAttribute("iterations", total.iterations);
-  return RebuildClosed();
+  for (catalog::ServerId s = 0; s < servers; ++s) {
+    CISQP_RETURN_IF_ERROR(SyncClosed(s));
+  }
+  return Status::Ok();
 }
 
 Status IncrementalClosure::ChaseServer(catalog::ServerId server, RulePool& pool,
@@ -135,16 +138,17 @@ IncrementalClosure::CanonicalRules IncrementalClosure::Canonicalize(
   return canon;
 }
 
-Status IncrementalClosure::RebuildClosed() {
-  AuthorizationSet closed;
-  for (catalog::ServerId s = 0; s < canon_.size(); ++s) {
-    for (const auto& [path, grants] : canon_[s]) {
-      for (const IdSet& attrs : grants) {
-        CISQP_RETURN_IF_ERROR(closed.Add(*cat_, Authorization{attrs, path, s}));
-      }
+Status IncrementalClosure::SyncClosed(catalog::ServerId server) {
+  // Built aside and swapped in whole, so a failed Add leaves closed_ as it
+  // was.
+  AuthorizationSet slice;
+  for (const auto& [path, grants] : canon_[server]) {
+    for (const IdSet& attrs : grants) {
+      CISQP_RETURN_IF_ERROR(
+          slice.Add(*cat_, Authorization{attrs, path, server}));
     }
   }
-  closed_ = std::move(closed);
+  closed_.ReplaceServer(server, std::move(slice));
   return Status::Ok();
 }
 
@@ -172,9 +176,13 @@ Status IncrementalClosure::Publish(catalog::ServerId server,
       if (!survives) ++delta.removed_rules;
     }
   }
-  if (delta.added_rules != 0 || delta.removed_rules != 0) {
-    delta.servers.Insert(server);
+  if (delta.added_rules == 0 && delta.removed_rules == 0) {
+    // The canonical closure is unchanged, so no profile's verdict is:
+    // every cache entry survives the edit.
+    delta.relations = IdSet{};
+    return Status::Ok();
   }
+  delta.servers.Insert(server);
   // A server gaining its first rule (or losing its last) flips the
   // kNoRulesForServer deny reason for every profile probed at it, including
   // profiles over unrelated relations — selective retention is off the
@@ -182,7 +190,7 @@ Status IncrementalClosure::Publish(catalog::ServerId server,
   if (prev.empty() != next.empty()) delta.full = true;
 
   canon_[server] = std::move(next);
-  return RebuildClosed();
+  return SyncClosed(server);
 }
 
 Result<ClosureDelta> IncrementalClosure::RechaseAfter(const Authorization& auth,
@@ -208,8 +216,9 @@ Result<ClosureDelta> IncrementalClosure::AddRule(const Authorization& auth) {
   if (!pool.AddIfNovel(auth.attributes, auth.path)) {
     // Subsumed by an existing closure rule: every derivation through the
     // new rule is subsumed by the corresponding derivation through the
-    // subsuming rule, so the canonical closure is unchanged.
-    return delta;
+    // subsuming rule, so the canonical closure (and every cache entry) is
+    // unchanged.
+    return ClosureDelta{};
   }
   // Seed the counter with this server's prior derived count so the cap
   // sees exactly what a from-scratch chase over the edited base would: the

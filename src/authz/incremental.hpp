@@ -32,7 +32,15 @@
 // sweeping them (front_door.cpp). The one exception is a server whose rule
 // set transitions between empty and non-empty: that flips the
 // kNoRulesForServer deny reason for *every* profile probed at that server,
-// so the delta degrades to `full` and the caches sweep as before.
+// so the delta degrades to `full` and the caches sweep as before. An edit
+// that changes no canonical closure rule (a subsumed grant, a revoke of a
+// rule the rest of the policy still derives) names no relations at all:
+// nothing a cache holds can have changed, so every entry survives it.
+//
+// closed() is kept per server: an edit re-syncs only the edited server's
+// slice (Add per canonical rule into a fresh set, then
+// AuthorizationSet::ReplaceServer), and
+// Build syncs every server the same way.
 //
 // The derived-rules cap (ChaseOptions::max_derived_rules) is a state, not
 // an error. When it trips — in Build or in an edit — the object is
@@ -65,7 +73,8 @@ struct ClosureDelta {
   /// every epoch-stamped cache entry must go.
   bool full = false;
   /// Relations whose authorized profiles may have changed: any cached
-  /// verdict/plan touching none of them is unaffected by the edit.
+  /// verdict/plan touching none of them is unaffected by the edit. Empty
+  /// when the edit changed no closure rule, so every entry survives it.
   IdSet relations;
   /// Servers whose canonical closure changed.
   IdSet servers;
@@ -150,13 +159,16 @@ class IncrementalClosure {
   Result<ClosureDelta> RechaseAfter(const Authorization& auth, bool grant,
                                     ClosureDelta delta);
 
-  /// Replaces server `s`'s canonical rules with `next`, rebuilds closed(),
-  /// and fills the delta bookkeeping (counts, transition, servers).
+  /// Replaces server `s`'s canonical rules with `next`, re-syncs that
+  /// server's slice of closed(), and fills the delta bookkeeping (counts,
+  /// transition, servers; no relations when no canonical rule changed).
   Status Publish(catalog::ServerId server, CanonicalRules next,
                  ClosureDelta& delta);
 
-  /// closed_ assembled from canon_, server by server.
-  Status RebuildClosed();
+  /// Replaces closed_'s rules of `server` with canon_[server], each through
+  /// AuthorizationSet::Add's validation; on a failed Add closed_ is
+  /// unchanged. Other servers' rules are untouched.
+  Status SyncClosed(catalog::ServerId server);
 
   /// True when the per-server derived counts sum past max_derived_rules —
   /// the batch chase's whole-closure budget.

@@ -177,6 +177,23 @@ TEST_F(AuthzTest, MinimizeDropsSubsumedRules) {
   EXPECT_TRUE(auths.CanView(MakeProfile({"Holder"}, {}, {}), Server(fix_.cat, "S_I")));
 }
 
+TEST_F(AuthzTest, ReplaceServerSwapsOnlyThatServersRules) {
+  const catalog::ServerId s_i = Server(fix_.cat, "S_I");
+  AuthorizationSet auths = fix_.auths;
+  AuthorizationSet slice;
+  ASSERT_OK(slice.Add(fix_.cat, "S_I", {"Holder"}, {}));
+  auths.ReplaceServer(s_i, std::move(slice));
+  EXPECT_EQ(auths.size(), 13u);  // Fig. 3's 3 S_I rules became 1
+  EXPECT_EQ(auths.ForServer(s_i).size(), 1u);
+  EXPECT_FALSE(auths.CanView(MakeProfile({"Plan"}, {}, {}), s_i));
+  EXPECT_TRUE(auths.CanView(MakeProfile({"Holder"}, {}, {}), s_i));
+  EXPECT_EQ(auths.ForServer(Server(fix_.cat, "S_N")).size(), 7u);
+  // An empty replacement clears the server.
+  auths.ReplaceServer(s_i, AuthorizationSet{});
+  EXPECT_EQ(auths.size(), 12u);
+  EXPECT_TRUE(auths.ForServer(s_i).empty());
+}
+
 TEST_F(AuthzTest, ToStringListsRules) {
   const std::string dump = fix_.auths.ToString(fix_.cat);
   EXPECT_NE(dump.find("S_D"), std::string::npos);

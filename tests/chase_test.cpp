@@ -238,6 +238,130 @@ TEST_F(ChaseTest, ParallelChaseWithObservabilityEnabled) {
       << error;
 }
 
+// --- Path-cap pair kernel (chase_core.hpp) ---------------------------------
+
+// Relations A(AK, AV), B(BK, BV), C(CK) on s0, schema edges AK=BK and
+// BV=CK, and a "watcher" server that the tests grant rules to.
+catalog::Catalog CapCatalog() {
+  catalog::Catalog cat;
+  const auto s0 = cat.AddServer("s0").value();
+  const auto i64 = catalog::ValueType::kInt64;
+  CISQP_CHECK(cat.AddRelation("A", s0, {{"AK", i64}, {"AV", i64}}, {"AK"}).ok());
+  CISQP_CHECK(cat.AddRelation("B", s0, {{"BK", i64}, {"BV", i64}}, {"BK"}).ok());
+  CISQP_CHECK(cat.AddRelation("C", s0, {{"CK", i64}}, {"CK"}).ok());
+  CISQP_CHECK(cat.AddServer("watcher").ok());
+  CISQP_CHECK(cat.AddJoinEdge("AK", "BK").ok());
+  CISQP_CHECK(cat.AddJoinEdge("BV", "CK").ok());
+  return cat;
+}
+
+// The chase under `max_path_atoms` must match the naïve oracle at that cap.
+void ExpectCappedChaseMatchesOracle(const catalog::Catalog& cat,
+                                    const AuthorizationSet& auths,
+                                    std::size_t max_path_atoms) {
+  ChaseOptions options;
+  options.max_path_atoms = max_path_atoms;
+  auto closed = ChaseClosure(cat, auths, options);
+  ASSERT_OK(closed.status());
+  EXPECT_EQ(CanonicalPolicy(cat, *closed),
+            CanonicalPolicy(cat, NaiveChaseOracle(cat, auths, max_path_atoms)));
+}
+
+TEST_F(ChaseTest, PairAtTheCapStillFiresAnEdgeAlreadyInTheUnion) {
+  const catalog::Catalog cat = CapCatalog();
+  const catalog::ServerId watcher = cat.FindServer("watcher").value();
+  AuthorizationSet auths;
+  ASSERT_OK(auths.Add(cat, "watcher", {"AK", "AV", "BK"}, {{"AK", "BK"}}));
+  ASSERT_OK(auths.Add(cat, "watcher", {"BK", "BV"}, {}));
+  ASSERT_OK(auths.Add(cat, "watcher", {"CK"}, {}));
+  ExpectCappedChaseMatchesOracle(cat, auths, 1);
+
+  ChaseOptions options;
+  options.max_path_atoms = 1;
+  ASSERT_OK_AND_ASSIGN(AuthorizationSet closed,
+                       ChaseClosure(cat, auths, options));
+  // |{AK=BK} ∪ ∅| is the cap, and the joining edge AK=BK is already in the
+  // union: the derived path stays one atom long, so the pair must fire.
+  EXPECT_TRUE(closed.CanView(
+      Profile{Attrs(cat, {"AV", "BV"}), Path(cat, {{"AK", "BK"}}), {}},
+      watcher));
+  // That rule pairs with [CK] at the cap too, but BV=CK is a new atom: the
+  // two-atom path is over the cap and must not appear.
+  for (const Authorization& rule : closed.All()) {
+    EXPECT_LE(rule.path.size(), 1u) << rule.ToString(cat);
+  }
+}
+
+TEST_F(ChaseTest, NonEdgePathAtomsTakeTheMergeFallback) {
+  // AV=BV is not a schema edge, so the path masks cannot hold it and the
+  // pair kernel counts |Pi ∪ Pj| by merging the atoms. The first two rules
+  // share that atom and union to two atoms, at a cap of 2: counting the
+  // shared atom twice would wrongly rule out BV=CK, the only derivation of
+  // the view checked below.
+  const catalog::Catalog cat = CapCatalog();
+  const catalog::ServerId watcher = cat.FindServer("watcher").value();
+  AuthorizationSet auths;
+  ASSERT_OK(auths.Add(cat, "watcher", {"AV", "BV", "BK"}, {{"AV", "BV"}}));
+  ASSERT_OK(auths.Add(cat, "watcher", {"AV", "BV", "CK"},
+                      {{"AV", "BV"}, {"BV", "CK"}}));
+  ASSERT_OK(auths.Add(cat, "watcher", {"AK", "AV", "BK"}, {{"AK", "BK"}}));
+  for (const std::size_t cap : {1u, 2u, 3u}) {
+    SCOPED_TRACE(::testing::Message() << "max_path_atoms " << cap);
+    ExpectCappedChaseMatchesOracle(cat, auths, cap);
+  }
+
+  ChaseOptions options;
+  options.max_path_atoms = 2;
+  ASSERT_OK_AND_ASSIGN(AuthorizationSet closed,
+                       ChaseClosure(cat, auths, options));
+  EXPECT_TRUE(closed.CanView(
+      Profile{Attrs(cat, {"AV", "BK", "CK"}),
+              Path(cat, {{"AV", "BV"}, {"BV", "CK"}}), {}},
+      watcher));
+}
+
+TEST_F(ChaseTest, PathCappedGeneratedPolicyKeepsItsGoldenStats) {
+  // Closures and ChaseStats recorded before the pair kernel decided the
+  // path cap per pair: skipping a pair over the cap must still count its
+  // edges, and must derive the same rules in the same order.
+  struct Golden {
+    std::uint64_t seed;
+    std::size_t iterations;
+    std::size_t pairs_considered;
+    std::size_t derived_rules;
+    std::size_t closed_rules;
+  };
+  for (const Golden& golden : {Golden{7, 16, 129450, 370, 404},
+                               Golden{8, 15, 135621, 344, 378}}) {
+    SCOPED_TRACE(::testing::Message() << "seed " << golden.seed);
+    Rng rng(golden.seed);
+    workload::FederationConfig fed_config;
+    fed_config.servers = 4;
+    fed_config.relations = 7;
+    const workload::Federation fed =
+        workload::GenerateFederation(fed_config, rng);
+    workload::AuthzConfig authz_config;
+    authz_config.base_grant_prob = 0.7;
+    authz_config.path_grants_per_server = 3;
+    authz_config.max_path_atoms = 2;
+    const AuthorizationSet auths =
+        workload::GenerateAuthorizations(fed.catalog, authz_config, rng);
+    ChaseOptions options;
+    options.max_path_atoms = 3;
+    ChaseStats stats;
+    ASSERT_OK_AND_ASSIGN(AuthorizationSet closed,
+                         ChaseClosure(fed.catalog, auths, options, &stats));
+    EXPECT_EQ(stats.iterations, golden.iterations);
+    EXPECT_EQ(stats.pairs_considered, golden.pairs_considered);
+    EXPECT_EQ(stats.derived_rules, golden.derived_rules);
+    EXPECT_EQ(closed.size(), golden.closed_rules);
+    EXPECT_EQ(CanonicalPolicy(fed.catalog, closed),
+              CanonicalPolicy(fed.catalog,
+                              NaiveChaseOracle(fed.catalog, auths,
+                                               options.max_path_atoms)));
+  }
+}
+
 TEST_F(ChaseTest, EmptyInputYieldsEmptyClosure) {
   ASSERT_OK_AND_ASSIGN(AuthorizationSet closed,
                        ChaseClosure(fix_.cat, AuthorizationSet{}));
@@ -316,11 +440,23 @@ TEST_F(ChaseTest, SubsumedGrantChangesBaseButNotClosure) {
   EXPECT_FALSE(delta.changed());
   EXPECT_EQ(delta.added_rules, 0u);
   EXPECT_EQ(delta.removed_rules, 0u);
+  // No closure rule changed, so no cached verdict can have: the delta names
+  // no relation and the serving caches keep every entry.
+  EXPECT_TRUE(delta.relations.empty());
   EXPECT_EQ(inc.base().size(), base_before + 1);  // base keeps the edit
   EXPECT_EQ(inc.closed().ToString(fix_.cat), closed_before);
   // And it still matches the from-scratch oracle over the grown base.
   EXPECT_EQ(inc.closed().ToString(fix_.cat),
             CanonicalChase(fix_.cat, inc.base()));
+
+  // Revoking it again rederives S_H to the same closure: the wider Fig. 2
+  // grant still covers it.
+  ASSERT_OK_AND_ASSIGN(ClosureDelta revoked, inc.RevokeRule(narrow));
+  EXPECT_FALSE(revoked.changed());
+  EXPECT_TRUE(revoked.relations.empty());
+  EXPECT_TRUE(revoked.servers.empty());
+  EXPECT_EQ(inc.base().size(), base_before);
+  EXPECT_EQ(inc.closed().ToString(fix_.cat), closed_before);
 }
 
 TEST_F(ChaseTest, IncrementalEditScriptTracksOracleOnRandomizedSchemas) {

@@ -366,6 +366,46 @@ TEST_F(ServingTest, DisjointEditRetainsPlanCacheAcrossTheEpochBump) {
   EXPECT_TRUE(TablesIdentical(paper_cold.table, paper_cold2.table));
 }
 
+TEST_F(ServingTest, EditsThatChangeNoClosureRuleRetainEveryPlan) {
+  // S_H already holds {Patient, Disease, Physician} on Hospital (Fig. 2), so
+  // granting it {Patient} alone adds a subsumed rule, and revoking that rule
+  // leaves one the rest of the policy still covers. Neither edit changes
+  // the closure, so neither may evict a plan — not even the paper join,
+  // which reads Hospital.
+  FrontDoor door = MakeDoor();
+  ASSERT_OK_AND_ASSIGN(const Response paper_cold,
+                       door.Serve(Req(paper_sql_)));
+  ASSERT_OK_AND_ASSIGN(const Response ins_cold,
+                       door.Serve(Req(insurance_sql_)));
+
+  authz::Authorization subsumed;
+  subsumed.server = testing::Server(fix_.cat, "S_H");
+  subsumed.attributes.Insert(testing::Attr(fix_.cat, "Patient"));
+  for (const bool grant : {true, false}) {
+    SCOPED_TRACE(grant ? "subsumed grant" : "revoke of a covered rule");
+    ASSERT_OK_AND_ASSIGN(
+        const authz::ClosureDelta delta,
+        grant ? door.AddRule(subsumed) : door.RevokeRule(subsumed));
+    EXPECT_FALSE(delta.changed());
+    EXPECT_TRUE(delta.relations.empty());
+
+    const FrontDoorStats before = door.Stats();
+    EXPECT_EQ(before.plan_cache_size, 2u);
+    ASSERT_OK_AND_ASSIGN(const Response paper, door.Serve(Req(paper_sql_)));
+    ASSERT_OK_AND_ASSIGN(const Response ins, door.Serve(Req(insurance_sql_)));
+    EXPECT_TRUE(paper.plan_cache_hit);
+    EXPECT_TRUE(ins.plan_cache_hit);
+    EXPECT_EQ(paper.policy_epoch, door.policy_epoch());
+    EXPECT_TRUE(TablesIdentical(paper_cold.table, paper.table));
+    EXPECT_TRUE(TablesIdentical(ins_cold.table, ins.table));
+    const FrontDoorStats after = door.Stats();
+    EXPECT_EQ(after.plan_cache_misses, before.plan_cache_misses);
+    EXPECT_EQ(after.plan_cache_stale_evictions, 0u);
+  }
+  EXPECT_EQ(door.policy_epoch(), 2u);
+  EXPECT_EQ(door.Stats().plan_cache_retained, 4u);
+}
+
 TEST_F(ServingTest, CappedClosureServesRawRulesUntilAnEditFitsAgain) {
   // A door whose chase trips ChaseOptions::max_derived_rules serves the raw
   // rules; every edit while capped bumps the epoch with a full delta; and a
